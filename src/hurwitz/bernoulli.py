@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .fixpoint import am_phi, solve_fixed_point
+from .fixpoint import solve_tree_series
 from .rings import QQ, binomial
 from .series import EgfSeries, IntegralityReport, SeriesError
 
@@ -181,6 +181,9 @@ def certify(h: int, k: int, order: int, inject_fault: str | None = None) -> Inte
     """
     if k == 0:
         raise SeriesError("k must be nonzero")
+    if order < 1:
+        # the comp-inverse step needs the tree series' linear term
+        raise SeriesError(f"certify needs order >= 1, got {order}")
     if inject_fault is not None and inject_fault not in STEP_NAMES:
         raise ValueError(f"unknown step {inject_fault!r}")
     cert = IntegralityCertificate(h=h, k=k, order=order)
@@ -195,7 +198,7 @@ def certify(h: int, k: int, order: int, inject_fault: str | None = None) -> Inte
     q = corrupt(reduction_factor(h, k, order), "reduction-factor")
     cert.steps.append(CertificateStep("reduction-factor", q.integrality_report()))
 
-    a = corrupt(solve_fixed_point(am_phi(ka, order), order).solution, "tree-series")
+    a = corrupt(solve_tree_series(ka, order), "tree-series")
     cert.steps.append(CertificateStep("tree-series", a.integrality_report()))
 
     inv = corrupt(a.comp_inverse(), "comp-inverse")

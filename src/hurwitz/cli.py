@@ -27,6 +27,21 @@ class CliError(Exception):
         self.code = code
 
 
+def _order_at_least(minimum: int):
+    """argparse type for --order: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _sep(fmt: str) -> str:
     return "," if fmt == "csv" else "\t"
 
@@ -155,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="tabulate M_n(h,k) by one or both routes")
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_order_at_least(0), required=True)
     p.add_argument("--format", choices=("tsv", "csv"), default="tsv")
     p.add_argument("--route", choices=("gf", "direct", "both"), default="gf")
     p.add_argument("--inject-fault", type=int, metavar="N", help=argparse.SUPPRESS)
@@ -164,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="run the integrality proof pipeline")
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
+    # the pipeline inverts the tree series, which needs its linear term
+    p.add_argument("--order", type=_order_at_least(1), required=True)
     p.add_argument(
         "--inject-fault",
         choices=bernoulli.STEP_NAMES,
@@ -175,12 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trees", help="the k-generalized tree series")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_order_at_least(0), required=True)
     p.add_argument("--oracle", action="store_true")
     p.set_defaults(func=cmd_trees)
 
     p = sub.add_parser("drake", help="four-parameter inverse-series coefficients")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_order_at_least(0), required=True)
     p.add_argument("--check-closed-form", action="store_true")
     p.add_argument("--specialize", choices=("k2",))
     p.set_defaults(func=cmd_drake)
@@ -194,7 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sequence", choices=_SEQUENCES, required=True)
     p.add_argument("--h", type=int, default=1)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--order", type=int, required=True)
+    # every sequence has constant term 0, and inv-tree inverts a series,
+    # which needs its linear term
+    p.add_argument("--order", type=_order_at_least(1), required=True)
     p.add_argument("--offset-shift", type=int, default=0)
     p.set_defaults(func=cmd_bfile_check)
 

@@ -1,14 +1,19 @@
-"""Order-by-order fixed-point solving for the functional equations.
+"""Online fixed-point solving for the functional equations.
 
-Each equation is written as A = Phi(A) where coefficient n of Phi(A) depends
-only on coefficients 0..n-1 of A (an x-adic contraction), so iterating from
-the zero series pins one further coefficient per pass.
+Each equation is written as A = Phi(A), where coefficient m of Phi(A) depends
+only on coefficients 0..m-1 of A (an x-adic contraction).  The solver is
+online ("relaxed", after van der Hoeven, *Relax, but don't be too lazy*,
+J. Symbolic Comput. 34, 2002): each map supplies a step that turns the known
+prefix A_0..A_{m-1} into coefficient m of Phi(A) by extending cached powers
+by one coefficient, so Phi is never re-run as a whole while solving.  One
+full-order evaluation Phi(A) = A then certifies the solution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Callable
 
 from .rings import QQ, binomial
@@ -16,44 +21,59 @@ from .series import EgfSeries, SeriesError
 
 
 class NotAContractionError(SeriesError):
-    """The iteration failed to stabilize: Phi is not an x-adic contraction."""
+    """The online solution is not a fixed point of Phi: Phi is not an x-adic
+    contraction, or its online step disagrees with ``apply``."""
 
 
 @dataclass(frozen=True)
 class PhiSpec:
+    """A map Phi in the two forms the solver needs.
+
+    ``apply`` evaluates Phi on a whole truncated series.  ``online(ring)``
+    starts one solve and returns its step: called with the list
+    A_0..A_{m-1}, which starts empty and grows by one coefficient per call,
+    the step returns coefficient m of Phi(A).
+    """
+
     description: str
     apply: Callable[[EgfSeries], EgfSeries]
+    online: Callable[[object], Callable[[list], object]]
 
 
 @dataclass(frozen=True)
 class FixpointResult:
     solution: EgfSeries
-    iterations: int
-    stabilized: bool
+    iterations: int  # online steps, one per coefficient A_0..A_order
 
 
 def solve_fixed_point(phi: PhiSpec, order: int, ring=QQ) -> FixpointResult:
-    """Iterate A <- Phi(A) from zero and insist on exact stabilization.
+    """Solve A = Phi(A) up to the given order, one coefficient per step.
 
-    For an x-adic contraction, pass m fixes coefficient m, so the iteration
-    runs at growing truncation order: pass m works at order m, which keeps
-    early passes cheap.  The final full-order check Phi(A) = A is what
-    certifies the result (and catches non-contractions).
+    Step m sets A_m to coefficient m of Phi(A), computed online from
+    A_0..A_{m-1}.  The single full-order check Phi(A) = A is what certifies
+    the result; it also refutes a map that is not a contraction and an
+    online step that disagrees with ``apply``.
     """
-    a = EgfSeries.zero(0, ring)
-    iterations = 0
-    for n in range(1, order + 1):
-        a = phi.apply(a.extend(n))
-        iterations += 1
-        if a.order != n:
-            raise NotAContractionError(
-                f"{phi.description} changed the truncation order"
-            )
+    if order < 0:
+        raise SeriesError(f"order must be nonnegative, got {order}")
+    step = phi.online(ring)
+    coeffs = []
+    for _ in range(order + 1):
+        coeffs.append(ring.coerce(step(coeffs)))
+    a = EgfSeries(ring, coeffs)
     if phi.apply(a) != a:
         raise NotAContractionError(
-            f"{phi.description} did not stabilize after {iterations} iterations"
+            f"{phi.description} does not fix its online solution at order {order}"
         )
-    return FixpointResult(solution=a, iterations=iterations, stabilized=True)
+    return FixpointResult(solution=a, iterations=order + 1)
+
+
+def product_coefficient(f, g, n: int, ring):
+    """Coefficient n of the EGF product of coefficient lists f and g."""
+    acc = ring.zero
+    for j in range(n + 1):
+        acc = acc + comb(n, j) * f[j] * g[n - j]
+    return acc
 
 
 def pk_of_series(k: int, a: EgfSeries) -> EgfSeries:
@@ -81,9 +101,11 @@ def sum_powers_against_basis(p: EgfSeries) -> EgfSeries:
     sum_{n=1}^{m} C(m,n) (p^{n-1})_{m-n}.
     """
     ring, order = p.ring, p.order
+    # (p^i)_j is read only for j <= order-1-i, so p^i is truncated there
     powers = [EgfSeries.one(order, ring)]
-    for _ in range(order - 1):
-        powers.append(powers[-1] * p)
+    for i in range(1, order):
+        cut = order - 1 - i
+        powers.append(powers[-1].truncate(cut) * p.truncate(cut))
     coeffs = [ring.zero]
     for m in range(1, order + 1):
         acc = ring.zero
@@ -93,19 +115,65 @@ def sum_powers_against_basis(p: EgfSeries) -> EgfSeries:
     return EgfSeries(ring, coeffs)
 
 
-def am_phi(k: int, order: int = None, ring=QQ) -> PhiSpec:
-    """Phi(A) = sum_{n>=1} p_k(A)^{n-1} x^n/n!, the Hurwitz-making form.
+def online_power_sums(ring):
+    """``sum_powers_against_basis`` online: returns a function that gives one
+    coefficient of the sum per call, as p becomes known.
 
-    The map works at the truncation order of its argument; ``order`` is
-    accepted for symmetry with the solver but not needed.
+    Called with p_0..p_{m-1}, a list grown by one coefficient since the
+    previous call, it returns coefficient m of the sum.  That needs the
+    anti-diagonal (p^i)_{m-1-i}, i < m, which needs only p_0..p_{m-2}:
+    ``powers[i]`` holds the known coefficients of p^i, and each call extends
+    every power by one coefficient and starts the next power.
     """
+    powers: list[list] = []
+
+    def next_coefficient(p: list):
+        m = len(p)
+        if m == 0:
+            return ring.zero
+        powers.append([])
+        acc = ring.zero
+        for i, power in enumerate(powers):
+            j = m - 1 - i
+            if i == 0:
+                c = ring.one if j == 0 else ring.zero
+            else:
+                c = product_coefficient(powers[i - 1], p, j, ring)
+            power.append(c)
+            acc = acc + binomial(m, i + 1) * c
+        return acc
+
+    return next_coefficient
+
+
+def am_phi(k: int) -> PhiSpec:
+    """Phi(A) = sum_{n>=1} p_k(A)^{n-1} x^n/n!, the Hurwitz-making form."""
     if k < 1:
         raise ValueError("k must be a positive integer")
 
     def apply(a: EgfSeries) -> EgfSeries:
         return sum_powers_against_basis(pk_of_series(k, a))
 
-    return PhiSpec(description=f"tree-series-phi(k={k})", apply=apply)
+    def online(ring):
+        a_powers: list[list] = [[] for _ in range(k)]  # A^0..A^{k-1}
+        p: list = []  # p_k(A)
+        power_sums = online_power_sums(ring)
+
+        def step(a: list):
+            j = len(a) - 1
+            if j >= 0:
+                a_powers[0].append(ring.one if j == 0 else ring.zero)
+                for e in range(1, k):
+                    a_powers[e].append(product_coefficient(a_powers[e - 1], a, j, ring))
+                pj = ring.zero
+                for e in range(k):
+                    pj = pj + binomial(k, e + 1) * a_powers[e][j]
+                p.append(pj)
+            return power_sums(p)
+
+        return step
+
+    return PhiSpec(description=f"tree-series-phi(k={k})", apply=apply, online=online)
 
 
 def solve_tree_series(k: int, order: int) -> EgfSeries:

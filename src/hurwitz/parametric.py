@@ -24,7 +24,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .fixpoint import PhiSpec, solve_fixed_point, sum_powers_against_basis
+from .fixpoint import (
+    PhiSpec,
+    online_power_sums,
+    product_coefficient,
+    solve_fixed_point,
+    sum_powers_against_basis,
+)
 from .rings import POLY, QQ, MultiPoly, binomial
 from .series import EgfSeries, SeriesError
 
@@ -87,7 +93,34 @@ def parametric_phi() -> PhiSpec:
         prefactor = (one + f.scale(B1)) * (one + f.scale(A2))
         return prefactor * acc
 
-    return PhiSpec(description="parametric-tree-phi", apply=apply)
+    def online(ring):
+        inner: list = []  # (cross) F + e
+        left: list = []  # 1 + b1 F
+        right: list = []  # 1 + a2 F
+        prefactor: list = []
+        power_sums = online_power_sums(ring)
+        acc: list = []  # coefficients of the sum
+
+        def step(f: list):
+            m = len(f)
+            if m:
+                j = m - 1
+                unit = ring.one if j == 0 else ring.zero
+                inner.append(CROSS * f[j] + (LINEAR if j == 0 else ring.zero))
+                left.append(unit + B1 * f[j])
+                right.append(unit + A2 * f[j])
+                prefactor.append(product_coefficient(left, right, j, ring))
+            acc.append(power_sums(inner))
+            # the j = m term is prefactor_m * acc_0 with acc_0 = 0, so the
+            # unknown F_m is never needed
+            out = ring.zero
+            for j in range(m):
+                out = out + binomial(m, j) * prefactor[j] * acc[m - j]
+            return out
+
+        return step
+
+    return PhiSpec(description="parametric-tree-phi", apply=apply, online=online)
 
 
 def solve_parametric_f(order: int) -> EgfSeries:

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import bernoulli, parametric, trees
-from .fixpoint import (
-    am_phi,
-    solve_fixed_point,
-    solve_tree_series,
-    verify_exp_form,
-    verify_postnikov_form,
-)
+from .fixpoint import solve_tree_series, verify_exp_form, verify_postnikov_form
 from .rings import POLY, QQ
 from .series import EgfSeries
 
@@ -173,7 +167,7 @@ def check_postnikov_forms(order: int = 16) -> bool:
 def check_general_k_integrality(max_k: int = 6, order: int = 24) -> bool:
     """The fixed-point solution is a Hurwitz series for each k."""
     for k in range(1, max_k + 1):
-        sol = solve_fixed_point(am_phi(k, order), order).solution
+        sol = solve_tree_series(k, order)
         if not sol.integrality_report().integral:
             return False
     return True

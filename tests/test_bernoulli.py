@@ -145,6 +145,10 @@ class TestCertify:
         assert cert.failing_step == "comp-inverse"
         assert cert.render().endswith("REFUTED")
 
+    def test_order_zero_rejected(self):
+        with pytest.raises(SeriesError, match="order >= 1"):
+            certify(1, 2, 0)
+
     def test_step_order(self):
         cert = certify(1, 2, 6)
         assert [s.name for s in cert.steps] == [

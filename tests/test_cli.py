@@ -180,6 +180,31 @@ class TestBFileCheck:
         assert code == 2
 
 
+class TestOrderValidation:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trees", "--k", "2", "--order", "-2"],
+            ["drake", "--order", "-1"],
+            ["compute", "--h", "1", "--k", "2", "--order", "-1"],
+            ["certify", "--h", "1", "--k", "2", "--order", "0"],
+            ["bfile-check", "--file", "b.txt", "--sequence", "am", "--order", "-1"],
+            ["bfile-check", "--file", "b.txt", "--sequence", "inv-tree", "--order", "0"],
+            ["trees", "--k", "2", "--order", "two"],
+        ],
+    )
+    def test_bad_order_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "argument --order" in capsys.readouterr().err
+
+    def test_order_zero_is_the_constant_term(self, capsys):
+        code, out = run(capsys, "compute", "--h", "1", "--k", "2", "--order", "0")
+        assert code == 0
+        assert out == "0\t0\n"
+
+
 class TestVerifyAll:
     def test_quick_passes(self, capsys):
         code, out = run(capsys, "verify-all", "--quick")

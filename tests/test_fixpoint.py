@@ -1,6 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurwitz.fixpoint import (
     NotAContractionError,
@@ -9,10 +13,45 @@ from hurwitz.fixpoint import (
     pk_of_series,
     solve_fixed_point,
     solve_tree_series,
+    sum_powers_against_basis,
     verify_exp_form,
     verify_postnikov_form,
 )
-from hurwitz.series import EgfSeries
+from hurwitz.parametric import parametric_phi
+from hurwitz.rings import POLY, QQ
+from hurwitz.series import EgfSeries, SeriesError
+
+
+def iterate_from_zero(phi, order, ring=QQ):
+    """Growing-order iteration A <- Phi(A) from the zero series, where pass n
+    works at order n and pins coefficient n.  This was the solver before the
+    online one; it is kept as a test oracle for it."""
+    a = EgfSeries.zero(0, ring)
+    for n in range(1, order + 1):
+        a = phi.apply(a.extend(n))
+    assert phi.apply(a) == a
+    return a
+
+
+def const_x_phi():
+    """Phi(A) = x in both forms."""
+    return PhiSpec(
+        "const-x",
+        lambda a: EgfSeries.basis(1, a.order, a.ring),
+        lambda ring: lambda a: ring.one if len(a) == 1 else ring.zero,
+    )
+
+
+def shift_by_x2_phi():
+    """Phi(A) = A + x^2, not a contraction.  Coefficient m of Phi(A) needs
+    A_m itself; the online step, which sees only A_0..A_{m-1}, takes it as 0."""
+    return PhiSpec(
+        "shift-by-x2",
+        lambda a: a + EgfSeries.basis(1, a.order) * EgfSeries.basis(1, a.order)
+        if a.order >= 2
+        else a,
+        lambda ring: lambda a: ring.from_int(2) if len(a) == 2 else ring.zero,
+    )
 
 
 class TestPk:
@@ -30,23 +69,27 @@ class TestPk:
 
 class TestSolve:
     def test_constant_map(self):
-        phi = PhiSpec("const-x", lambda a: EgfSeries.basis(1, a.order))
-        result = solve_fixed_point(phi, 4)
+        result = solve_fixed_point(const_x_phi(), 4)
         assert result.solution == EgfSeries.basis(1, 4)
-        assert result.stabilized
 
     def test_k2_matches_tree_counts(self):
         assert solve_tree_series(2, 4).coeffs == (0, 1, 2, 7, 36)
 
     def test_non_contraction_raises(self):
-        phi = PhiSpec(
-            "shift-by-x2",
-            lambda a: a + EgfSeries.basis(1, a.order) * EgfSeries.basis(1, a.order)
-            if a.order >= 2
-            else EgfSeries.zero(a.order),
-        )
         with pytest.raises(NotAContractionError):
+            solve_fixed_point(shift_by_x2_phi(), 4)
+
+    def test_online_step_disagreeing_with_apply_raises(self):
+        phi = replace(am_phi(2), online=am_phi(3).online)
+        with pytest.raises(NotAContractionError, match="tree-series-phi"):
             solve_fixed_point(phi, 4)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(SeriesError, match="-1"):
+            solve_fixed_point(am_phi(2), -1)
+
+    def test_order_zero(self):
+        assert solve_tree_series(2, 0) == EgfSeries.zero(0)
 
     def test_k1_is_exp_minus_one(self):
         a = solve_tree_series(1, 6)
@@ -90,6 +133,42 @@ class TestExpForms:
         assert verify_postnikov_form(a)
         assert verify_exp_form(a, 2)
         assert solve_fixed_point(am_phi(2), 10).solution == a
+
+
+class TestOracles:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 16))
+    def test_online_matches_growing_order_iteration(self, k, order):
+        assert solve_tree_series(k, order) == iterate_from_zero(am_phi(k), order)
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(0, 5))
+    def test_parametric_online_matches_growing_order_iteration(self, order):
+        online = solve_fixed_point(parametric_phi(), order, POLY).solution
+        assert online == iterate_from_zero(parametric_phi(), order, POLY)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=12))
+    def test_sum_powers_matches_full_powers(self, coeffs):
+        # the plain sum of full-order products p^{n-1} * x^n/n!
+        p = EgfSeries(QQ, coeffs)
+        order = p.order
+        expected = EgfSeries.zero(order)
+        power = EgfSeries.one(order)
+        for n in range(1, order + 1):
+            expected = expected + power * EgfSeries.basis(n, order)
+            power = power * p
+        assert sum_powers_against_basis(p) == expected
+
+    def test_k2_matches_postnikov_closed_form(self):
+        # trees on n+1 vertices: a_n = sum_j C(n+1,j) j^n / ((n+1) 2^n)
+        a = solve_tree_series(2, 40)
+        for n in range(1, 41):
+            closed = Fraction(
+                sum(comb(n + 1, j) * j**n for j in range(1, n + 2)),
+                (n + 1) * 2**n,
+            )
+            assert a[n] == closed
 
 
 @pytest.mark.parametrize("k", range(1, 7))
