@@ -15,7 +15,7 @@ from math import factorial
 
 from .fixpoint import solve_tree_series
 from .rings import QQ, binomial
-from .series import EgfSeries, IntegralityReport, SeriesError
+from .series import EgfSeries, IntegralityReport, SeriesError, check_order
 
 _ONE_HALF = Fraction(1, 2)
 
@@ -23,6 +23,7 @@ _ONE_HALF = Fraction(1, 2)
 @lru_cache(maxsize=None)
 def bernoulli_factor(order: int) -> EgfSeries:
     """x/(e^x - 1) as an EGF; its coefficients are the Bernoulli numbers."""
+    check_order(order)
     em1 = EgfSeries.exp_line(1, order + 1) - EgfSeries.one(order + 1)
     return em1.div_by_x().reciprocal()
 
@@ -75,6 +76,7 @@ def reduction_factor(h: int, k: int, order: int) -> EgfSeries:
     """The Hurwitz series Q with Q * gf(1, |k|) = gf(h, k)."""
     if k == 0:
         raise SeriesError("k must be nonzero")
+    check_order(order)
     gf_hk = m_series(h, k, order + 1)
     gf_base = m_series(1, abs(k), order + 1)
     return gf_hk.div_by_x() * gf_base.div_by_x().reciprocal()

@@ -150,6 +150,12 @@ def cmd_bfile_check(args) -> int:
             raise CliError("k must be a positive integer", USAGE_ERROR)
         coeffs = list(solve_tree_series(args.k, args.order).comp_inverse().coeffs)
     result = compare_bfile(coeffs, entries, offset_shift=args.offset_shift)
+    if result.ok and result.matched == 0:
+        raise CliError(
+            f"no b-file entry falls in coefficients 0..{args.order} (entry i is "
+            f"coefficient i + {args.offset_shift}); check --order and --offset-shift",
+            USAGE_ERROR,
+        )
     if result.ok:
         print(f"MATCH over {result.matched} entries")
         return 0

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Callable
 
-from .rings import QQ, binomial
-from .series import EgfSeries, SeriesError
+from .rings import QQ, binomial, product_coefficient
+from .series import EgfSeries, SeriesError, check_order
 
 
 class NotAContractionError(SeriesError):
@@ -54,8 +53,7 @@ def solve_fixed_point(phi: PhiSpec, order: int, ring=QQ) -> FixpointResult:
     the result; it also refutes a map that is not a contraction and an
     online step that disagrees with ``apply``.
     """
-    if order < 0:
-        raise SeriesError(f"order must be nonnegative, got {order}")
+    check_order(order)
     step = phi.online(ring)
     coeffs = []
     for _ in range(order + 1):
@@ -66,14 +64,6 @@ def solve_fixed_point(phi: PhiSpec, order: int, ring=QQ) -> FixpointResult:
             f"{phi.description} does not fix its online solution at order {order}"
         )
     return FixpointResult(solution=a, iterations=order + 1)
-
-
-def product_coefficient(f, g, n: int, ring):
-    """Coefficient n of the EGF product of coefficient lists f and g."""
-    acc = ring.zero
-    for j in range(n + 1):
-        acc = acc + comb(n, j) * f[j] * g[n - j]
-    return acc
 
 
 def pk_of_series(k: int, a: EgfSeries) -> EgfSeries:

@@ -27,12 +27,11 @@ from math import factorial
 from .fixpoint import (
     PhiSpec,
     online_power_sums,
-    product_coefficient,
     solve_fixed_point,
     sum_powers_against_basis,
 )
-from .rings import POLY, QQ, MultiPoly, binomial
-from .series import EgfSeries, SeriesError
+from .rings import POLY, QQ, MultiPoly, binomial, product_coefficient
+from .series import EgfSeries, SeriesError, check_order
 
 A1 = MultiPoly.variable("a1")
 A2 = MultiPoly.variable("a2")
@@ -66,6 +65,7 @@ def parametric_inverse_series(order: int) -> EgfSeries:
     product rule gives e G_n = L_n - n (cross) G_{n-1}, and each G_n is
     obtained by exact division by e.
     """
+    check_order(order)
     coeffs = [POLY.zero]
     prev = POLY.zero
     # log(1 + c x) has EGF coefficient (-1)^{n-1} (n-1)! c^n

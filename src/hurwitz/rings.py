@@ -4,12 +4,18 @@ Two coefficient rings are provided behind a common contract (``RationalRing``
 and ``PolyRing``): exact arbitrary-precision rationals, and sparse polynomials
 in the four indeterminates a1, a2, b1, b2 with rational coefficients.  The
 series engine in :mod:`hurwitz.series` is generic over either ring.
+
+The contract also owns the two O(n^2) series kernels, ``convolve`` (the EGF
+product) and ``reciprocal`` (triangular back-substitution), so each ring runs
+them in its own arithmetic: ``RationalRing`` on Python ints, scaled once to
+integer numerators over a common denominator, and ``PolyRing`` term by term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from operator import add, mul
 
 VARIABLES = ("a1", "a2", "b1", "b2")
 
@@ -42,6 +48,26 @@ def render_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def product_coefficient(f, g, n: int, ring):
+    """Coefficient n of the EGF product of coefficient lists f and g, in the
+    ring's own arithmetic."""
+    acc = ring.zero
+    for j in range(n + 1):
+        acc = acc + comb(n, j) * f[j] * g[n - j]
+    return acc
+
+
+def _numerators(coeffs) -> tuple[int, list[int]]:
+    """(d, [c * d for c in coeffs]) with d the lcm of the denominators."""
+    d = lcm(*[c.denominator for c in coeffs])
+    return d, [c.numerator * (d // c.denominator) for c in coeffs]
+
+
+def _next_binomial_row(row: list[int]) -> list[int]:
+    """C(n+1, 0..n+1) from C(n, 0..n)."""
+    return [1, *map(add, row, row[1:]), 1]
 
 
 def _as_fraction(value) -> Fraction:
@@ -259,9 +285,6 @@ class RationalRing:
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
 
-    def from_rational(self, q: Fraction) -> Fraction:
-        return _as_fraction(q)
-
     def coerce(self, c) -> Fraction:
         return _as_fraction(c)
 
@@ -282,6 +305,57 @@ class RationalRing:
     def is_integral(self, c) -> bool:
         return _as_fraction(c).denominator == 1
 
+    def convolve(self, f, g) -> list[Fraction]:
+        """(fg)_n = sum_j C(n,j) f_j g_{n-j} for equal-length f and g.
+
+        Each operand is scaled once to integer numerators over its lcm
+        denominator; the sums run on ints, and one Fraction is built per
+        output coefficient.
+        """
+        df, f_nums = _numerators(f)
+        dg, g_nums = _numerators(g)
+        d = df * dg
+        top = len(f_nums) - 1
+        g_rev = g_nums[::-1]
+        out = []
+        row = [1]
+        for n in range(top + 1):
+            if n:
+                row = _next_binomial_row(row)
+            # g_rev[top - n:] is g_n, g_{n-1}, ..., g_0
+            out.append(Fraction(sum(map(mul, row, map(mul, f_nums, g_rev[top - n:]))), d))
+        return out
+
+    def reciprocal(self, c) -> list[Fraction]:
+        """g with c * g = 1: g_n = -(1/c_0) sum_{j<n} C(n,j) g_j c_{n-j}.
+
+        c is scaled once to integer numerators C over its lcm denominator D,
+        and the known g_0..g_{n-1} are kept as integer numerators G over
+        their lcm denominator L, so g_n = -sum_j C(n,j) G_j C_{n-j} / (L C_0)
+        is one Fraction per coefficient, on integers the size of the
+        result's.  Raises ZeroDivisionError if c_0 = 0.
+        """
+        d, c_nums = _numerators(c)
+        top = len(c_nums) - 1
+        c0 = c_nums[0]
+        c_rev = c_nums[::-1]
+        g = [Fraction(d, c0)]
+        den, g_nums = g[0].denominator, [g[0].numerator]
+        row = [1]
+        for n in range(1, top + 1):
+            row = _next_binomial_row(row)
+            # the products stop at len(g_nums) = n, so j < n; c_rev[top - n:]
+            # is c_n, c_{n-1}, ...
+            s = sum(map(mul, map(mul, row, g_nums), c_rev[top - n:]))
+            q = Fraction(-s, den * c0)
+            g.append(q)
+            if den % q.denominator:
+                scale = lcm(den, q.denominator) // den
+                den *= scale
+                g_nums = [x * scale for x in g_nums]
+            g_nums.append(q.numerator * (den // q.denominator))
+        return g
+
     def render(self, c) -> str:
         return render_rational(_as_fraction(c))
 
@@ -296,9 +370,6 @@ class PolyRing:
 
     def from_int(self, n: int) -> MultiPoly:
         return MultiPoly.constant(n)
-
-    def from_rational(self, q) -> MultiPoly:
-        return MultiPoly.constant(q)
 
     def coerce(self, c) -> MultiPoly:
         return self._coerce(c)
@@ -321,6 +392,22 @@ class PolyRing:
 
     def is_integral(self, c) -> bool:
         return self._coerce(c).is_integral()
+
+    def convolve(self, f, g) -> list[MultiPoly]:
+        """(fg)_n = sum_j C(n,j) f_j g_{n-j} for equal-length f and g."""
+        return [product_coefficient(f, g, n, self) for n in range(len(f))]
+
+    def reciprocal(self, c) -> list[MultiPoly]:
+        """g with c * g = 1, by triangular back-substitution; c_0 must be a
+        unit."""
+        inv0 = self.invert(c[0])
+        g = [inv0]
+        for n in range(1, len(c)):
+            acc = self.zero
+            for j in range(n):
+                acc = acc + comb(n, j) * g[j] * c[n - j]
+            g.append(-(inv0 * acc))
+        return g
 
     def render(self, c) -> str:
         return self._coerce(c).render()

@@ -22,6 +22,12 @@ class SeriesError(ValueError):
     """Precondition or ring/order compatibility failure."""
 
 
+def check_order(order: int, minimum: int = 0) -> None:
+    """Reject a truncation order below ``minimum``, naming it."""
+    if order < minimum:
+        raise SeriesError(f"order must be >= {minimum}, got {order}")
+
+
 class IntegralityReport(NamedTuple):
     integral: bool
     first_fail_index: Optional[int] = None
@@ -60,15 +66,18 @@ class EgfSeries:
 
     @classmethod
     def zero(cls, order, ring=QQ):
+        check_order(order)
         return cls(ring, [ring.zero] * (order + 1))
 
     @classmethod
     def one(cls, order, ring=QQ):
+        check_order(order)
         return cls(ring, [ring.one] + [ring.zero] * order)
 
     @classmethod
     def basis(cls, n, order, ring=QQ):
         """x^n / n! as an EGF: the single coefficient c_n = 1."""
+        check_order(order)
         if n > order:
             raise SeriesError(f"basis index {n} exceeds order {order}")
         coeffs = [ring.zero] * (order + 1)
@@ -78,6 +87,7 @@ class EgfSeries:
     @classmethod
     def exp_line(cls, slope, order, ring=QQ):
         """e^{slope * x}: coefficients slope^n.  Slope may be any ring element."""
+        check_order(order)
         slope = ring.coerce(slope)
         coeffs = [ring.one]
         for _ in range(order):
@@ -139,31 +149,17 @@ class EgfSeries:
     # -- multiplicative structure ------------------------------------------
 
     def __mul__(self, other):
-        """Binomial convolution: (fg)_n = sum_j C(n,j) f_j g_{n-j}."""
+        """Binomial convolution (fg)_n = sum_j C(n,j) f_j g_{n-j}, run by the
+        coefficient ring's ``convolve``."""
         self._check(other)
-        f, g = self.coeffs, other.coeffs
-        out = []
-        for n in range(self.order + 1):
-            acc = self.ring.zero
-            for j in range(n + 1):
-                acc = acc + comb(n, j) * f[j] * g[n - j]
-            out.append(acc)
-        return EgfSeries(self.ring, out)
+        return EgfSeries(self.ring, self.ring.convolve(self.coeffs, other.coeffs))
 
     def reciprocal(self):
-        """g with self * g = 1, by triangular back-substitution."""
-        ring = self.ring
-        c0 = self.coeffs[0]
-        if not ring.is_unit(c0):
+        """g with self * g = 1, by triangular back-substitution in the
+        coefficient ring's ``reciprocal``."""
+        if not self.ring.is_unit(self.coeffs[0]):
             raise SeriesError("constant term is not a unit")
-        inv0 = ring.invert(c0)
-        g = [inv0]
-        for n in range(1, self.order + 1):
-            acc = ring.zero
-            for j in range(n):
-                acc = acc + comb(n, j) * g[j] * self.coeffs[n - j]
-            g.append(-(inv0 * acc))
-        return EgfSeries(ring, g)
+        return EgfSeries(self.ring, self.ring.reciprocal(self.coeffs))
 
     def div_by_x(self):
         """f/x for f with zero constant term: order drops by one and
@@ -214,7 +210,9 @@ class EgfSeries:
         are computed once up front.
         """
         ring = self.ring
-        if self.order < 1 or not ring.is_zero(self.coeffs[0]):
+        if self.order < 1:
+            raise SeriesError(f"compositional inverse needs order >= 1, got {self.order}")
+        if not ring.is_zero(self.coeffs[0]):
             raise SeriesError("compositional inverse requires constant term 0")
         if not ring.is_unit(self.coeffs[1]):
             raise SeriesError("compositional inverse requires unit linear term")

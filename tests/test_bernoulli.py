@@ -149,6 +149,27 @@ class TestCertify:
         with pytest.raises(SeriesError, match="order >= 1"):
             certify(1, 2, 0)
 
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: m_series(1, 2, -1),
+        lambda: m_direct_values(1, 2, -1),
+        lambda: m_direct(-1, 1, 2),
+        lambda: reduction_factor(1, 2, -1),
+        lambda: inverse_tree_series(2, -1),
+        lambda: bernoulli_numbers(-1),
+        lambda: genocchi_oracle(-1),
+    ],
+    ids=[
+        "m_series", "m_direct_values", "m_direct", "reduction_factor",
+        "inverse_tree_series", "bernoulli_numbers", "genocchi_oracle",
+    ],
+)
+def test_negative_order_rejected(call):
+    with pytest.raises(SeriesError, match="order must be >= 0, got -1"):
+        call()
+
     def test_step_order(self):
         cert = certify(1, 2, 6)
         assert [s.name for s in cert.steps] == [

@@ -172,6 +172,19 @@ class TestBFileCheck:
         )
         assert code == 2
 
+    def test_empty_overlap_is_a_usage_error(self, capsys, tmp_path):
+        # no entry lands in coefficients 0..3, so nothing would be compared
+        path = tmp_path / "b.txt"
+        path.write_text("1 1\n2 2\n3 7\n")
+        code = main([
+            "bfile-check", "--file", str(path), "--sequence", "trees",
+            "--order", "3", "--offset-shift", "50",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "MATCH" not in captured.out
+        assert "--order" in captured.err and "--offset-shift" in captured.err
+
     def test_missing_file(self, capsys):
         code, _ = run(
             capsys, "bfile-check", "--file", "/nonexistent", "--sequence", "am",

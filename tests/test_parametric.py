@@ -17,7 +17,7 @@ from hurwitz.parametric import (
     verify_functional_equation,
 )
 from hurwitz.rings import POLY, MultiPoly
-from hurwitz.series import EgfSeries
+from hurwitz.series import EgfSeries, SeriesError
 
 F = Fraction
 
@@ -45,6 +45,10 @@ class TestClosedForm:
 
 
 class TestInverseSeries:
+    def test_negative_order_rejected(self):
+        with pytest.raises(SeriesError, match="order must be >= 0, got -1"):
+            parametric_inverse_series(-1)
+
     def test_first_coefficients(self):
         series = parametric_inverse_series(2)
         assert series[0] == MultiPoly()

@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hurwitz.rings import QQ
@@ -33,6 +34,20 @@ class TestBasics:
     def test_order_mismatch(self):
         with pytest.raises(SeriesError):
             EgfSeries.one(3) + EgfSeries.one(4)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: EgfSeries.zero(-1),
+            lambda: EgfSeries.one(-1),
+            lambda: EgfSeries.basis(0, -1),
+            lambda: EgfSeries.exp_line(2, -1),
+        ],
+        ids=["zero", "one", "basis", "exp_line"],
+    )
+    def test_negative_order_rejected(self, build):
+        with pytest.raises(SeriesError, match="order must be >= 0, got -1"):
+            build()
 
 
 class TestMul:
@@ -117,6 +132,8 @@ class TestCompInverse:
     def test_preconditions(self):
         with pytest.raises(SeriesError):
             EgfSeries.one(3).comp_inverse()
+        with pytest.raises(SeriesError, match="needs order >= 1, got 0"):
+            EgfSeries.zero(0).comp_inverse()
         with pytest.raises(SeriesError):
             (EgfSeries.basis(1, 3) * EgfSeries.basis(1, 3)).comp_inverse()
 
@@ -234,3 +251,85 @@ def test_hurwitz_closure(f, g):
 @given(integer_series(12, zero_constant=True, unit_linear=True))
 def test_hurwitz_closure_inverse(g):
     assert g.comp_inverse().integrality_report().integral
+
+
+# -- QQ kernels against the Fraction loops ------------------------------------
+#
+# reference_convolve and reference_reciprocal are the Fraction loops that ran
+# EgfSeries.__mul__ and EgfSeries.reciprocal before QQ.convolve and
+# QQ.reciprocal moved to integer numerators; they are kept as the test oracle.
+
+
+def reference_convolve(f, g):
+    out = []
+    for n in range(len(f)):
+        acc = Fraction(0)
+        for j in range(n + 1):
+            acc = acc + comb(n, j) * f[j] * g[n - j]
+        out.append(acc)
+    return out
+
+
+def reference_reciprocal(c):
+    inv0 = 1 / c[0]
+    g = [inv0]
+    for n in range(1, len(c)):
+        acc = Fraction(0)
+        for j in range(n):
+            acc = acc + comb(n, j) * g[j] * c[n - j]
+        g.append(-(inv0 * acc))
+    return g
+
+
+# zeros, small and large integers, and rationals with mixed denominators
+rationals = st.one_of(
+    st.just(F(0)),
+    st.integers(-9, 9).map(F),
+    st.integers(-(10**30), 10**30).map(F),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+)
+nonzero_rationals = rationals.filter(lambda q: q != 0)
+
+
+def coefficients(order):
+    return st.lists(rationals, min_size=order + 1, max_size=order + 1)
+
+
+orders = st.integers(0, 40)
+MIXED_40 = [F((-1) ** n * (n + 2), n % 7 + 1) if n % 5 else F(0) for n in range(41)]
+
+
+def assert_exactly_equal(got, expected):
+    assert got == expected
+    assert all(type(c) is Fraction for c in got)
+
+
+@settings(max_examples=60)
+@given(orders.flatmap(lambda n: st.tuples(coefficients(n), coefficients(n))))
+@example(([F(3)], [F(-2, 7)]))
+@example((MIXED_40, MIXED_40[::-1]))
+def test_qq_convolve_matches_fraction_loop(pair):
+    f, g = pair
+    assert_exactly_equal(QQ.convolve(f, g), reference_convolve(f, g))
+    assert (qs(*f) * qs(*g)).coeffs == tuple(reference_convolve(f, g))
+
+
+@settings(max_examples=60)
+@given(orders.flatmap(coefficients), nonzero_rationals)
+@example([F(1)], F(-3))
+@example(MIXED_40, F(-6, 5))
+def test_qq_reciprocal_matches_fraction_loop(c, c0):
+    # negative and non-unit constant terms come from c0
+    c = [c0] + c[1:]
+    assert_exactly_equal(QQ.reciprocal(c), reference_reciprocal(c))
+    assert qs(*c).reciprocal().coeffs == tuple(reference_reciprocal(c))
+
+
+@settings(max_examples=30)
+@given(orders.flatmap(coefficients))
+def test_qq_reciprocal_zero_constant_raises(c):
+    c = [F(0)] + c[1:]
+    with pytest.raises(ZeroDivisionError):
+        QQ.reciprocal(c)
+    with pytest.raises(SeriesError, match="not a unit"):
+        qs(*c).reciprocal()
