@@ -149,6 +149,16 @@ class TestCertify:
         with pytest.raises(SeriesError, match="order >= 1"):
             certify(1, 2, 0)
 
+    def test_step_order(self):
+        cert = certify(1, 2, 6)
+        assert [s.name for s in cert.steps] == [
+            "reduction-factor",
+            "tree-series",
+            "comp-inverse",
+            "subst-exp",
+            "final-equality",
+        ]
+
 
 @pytest.mark.parametrize(
     "call",
@@ -169,13 +179,3 @@ class TestCertify:
 def test_negative_order_rejected(call):
     with pytest.raises(SeriesError, match="order must be >= 0, got -1"):
         call()
-
-    def test_step_order(self):
-        cert = certify(1, 2, 6)
-        assert [s.name for s in cert.steps] == [
-            "reduction-factor",
-            "tree-series",
-            "comp-inverse",
-            "subst-exp",
-            "final-equality",
-        ]
