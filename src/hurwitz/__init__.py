@@ -8,7 +8,6 @@ generalization, and an end-to-end integrality certificate pipeline.
 
 from .bernoulli import (
     IntegralityCertificate,
-    bernoulli_numbers,
     bernoulli_poly_at,
     certify,
     genocchi_oracle,
@@ -20,7 +19,6 @@ from .bernoulli import (
 )
 from .bfile import BFileEntry, compare_bfile, parse_bfile
 from .fixpoint import (
-    FixpointResult,
     PhiSpec,
     am_phi,
     pk_of_series,
@@ -36,7 +34,6 @@ from .trees import LabeledTree, count_alternating_trees, is_alternating, prufer_
 __all__ = [
     "BFileEntry",
     "EgfSeries",
-    "FixpointResult",
     "IntegralityCertificate",
     "IntegralityReport",
     "LabeledTree",
@@ -47,7 +44,6 @@ __all__ = [
     "QQ",
     "SeriesError",
     "am_phi",
-    "bernoulli_numbers",
     "bernoulli_poly_at",
     "binomial",
     "certify",

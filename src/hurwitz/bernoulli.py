@@ -28,11 +28,6 @@ def bernoulli_factor(order: int) -> EgfSeries:
     return em1.div_by_x().reciprocal()
 
 
-def bernoulli_numbers(order: int) -> EgfSeries:
-    """Series whose coefficient n is B_n."""
-    return bernoulli_factor(order)
-
-
 def bernoulli_poly_series(q, order: int) -> EgfSeries:
     """x e^{qx}/(e^x - 1): coefficient n is the Bernoulli polynomial B_n(q)."""
     return EgfSeries.exp_line(q, order) * bernoulli_factor(order)
@@ -60,7 +55,7 @@ def m_direct(n: int, h: int, k: int) -> Fraction:
     """M_n(h,k) = k^n (B_n(h/k) - B_n), computed without any series division."""
     if k == 0:
         raise SeriesError("k must be nonzero")
-    return k**n * (bernoulli_poly_at(n, Fraction(h, k)) - bernoulli_numbers(n)[n])
+    return k**n * (bernoulli_poly_at(n, Fraction(h, k)) - bernoulli_factor(n)[n])
 
 
 def m_direct_values(h: int, k: int, order: int) -> list[Fraction]:
@@ -68,7 +63,7 @@ def m_direct_values(h: int, k: int, order: int) -> list[Fraction]:
     if k == 0:
         raise SeriesError("k must be nonzero")
     poly = bernoulli_poly_series(Fraction(h, k), order)
-    numbers = bernoulli_numbers(order)
+    numbers = bernoulli_factor(order)
     return [k**n * (poly[n] - numbers[n]) for n in range(order + 1)]
 
 

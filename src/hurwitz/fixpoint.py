@@ -39,13 +39,7 @@ class PhiSpec:
     online: Callable[[object], Callable[[list], object]]
 
 
-@dataclass(frozen=True)
-class FixpointResult:
-    solution: EgfSeries
-    iterations: int  # online steps, one per coefficient A_0..A_order
-
-
-def solve_fixed_point(phi: PhiSpec, order: int, ring=QQ) -> FixpointResult:
+def solve_fixed_point(phi: PhiSpec, order: int, ring=QQ) -> EgfSeries:
     """Solve A = Phi(A) up to the given order, one coefficient per step.
 
     Step m sets A_m to coefficient m of Phi(A), computed online from
@@ -63,7 +57,7 @@ def solve_fixed_point(phi: PhiSpec, order: int, ring=QQ) -> FixpointResult:
         raise NotAContractionError(
             f"{phi.description} does not fix its online solution at order {order}"
         )
-    return FixpointResult(solution=a, iterations=order + 1)
+    return a
 
 
 def pk_of_series(k: int, a: EgfSeries) -> EgfSeries:
@@ -168,7 +162,7 @@ def am_phi(k: int) -> PhiSpec:
 
 def solve_tree_series(k: int, order: int) -> EgfSeries:
     """The solution A of (1+A)^k = e^{x p_k(A)} up to the given order."""
-    return solve_fixed_point(am_phi(k), order).solution
+    return solve_fixed_point(am_phi(k), order)
 
 
 def verify_exp_form(a: EgfSeries, k: int) -> bool:

@@ -124,7 +124,7 @@ def parametric_phi() -> PhiSpec:
 
 
 def solve_parametric_f(order: int) -> EgfSeries:
-    return solve_fixed_point(parametric_phi(), order, POLY).solution
+    return solve_fixed_point(parametric_phi(), order, POLY)
 
 
 def verify_functional_equation(f: EgfSeries) -> bool:

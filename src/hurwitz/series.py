@@ -12,10 +12,10 @@ silently.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import NamedTuple, Optional
 
-from .rings import QQ
+from .rings import QQ, product_coefficient
 
 
 class SeriesError(ValueError):
@@ -237,12 +237,10 @@ class EgfSeries:
         ring = self.ring
         if not ring.is_zero(self.coeffs[0]):
             raise SeriesError("exp requires constant term 0")
+        deriv = self.coeffs[1:]
         y = [ring.one]
         for n in range(self.order):
-            acc = ring.zero
-            for j in range(n + 1):
-                acc = acc + comb(n, j) * self.coeffs[j + 1] * y[n - j]
-            y.append(acc)
+            y.append(product_coefficient(deriv, y, n, ring))
         return EgfSeries(ring, y)
 
     def log(self):

@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-DEFAULT_ENUMERATION_CAP = 9
+ENUMERATION_CAP = 9
 
 
 class OracleScaleError(ValueError):
-    """Requested enumeration exceeds the configured brute-force cap."""
+    """Requested enumeration exceeds the brute-force cap."""
 
 
 @dataclass(frozen=True)
@@ -60,13 +60,13 @@ def is_alternating(tree: LabeledTree) -> bool:
     return True
 
 
-def count_alternating_trees(m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+def count_alternating_trees(m: int) -> int:
     """Number of alternating labeled trees on {1..m} by exhaustive Prufer
     enumeration (m^{m-2} decodes)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m > cap:
-        raise OracleScaleError(f"oracle scale exceeded: m={m} > cap={cap}")
+    if m > ENUMERATION_CAP:
+        raise OracleScaleError(f"oracle scale exceeded: m={m} > cap={ENUMERATION_CAP}")
     if m == 1:
         return 1
     labels = range(1, m + 1)

@@ -1,8 +1,11 @@
 """The full exact-verification suite.
 
-Each check returns True/False and is pure; ``run_all`` drives them in a fixed
-order and reports per-check timing.  The CLI's ``verify-all`` subcommand and
-the acceptance tests both run these.
+Each check is pure, returns True/False, and by default runs at its full
+(acceptance) size.  ``all_checks`` is the one registry of checks: it names
+them in run order and holds each one's reduced ``--quick`` arguments.
+``verify-all`` runs the registry through ``run_all``, which prints one
+PASS/FAIL line with the wall time per check, and the acceptance tests run
+each full-size entry once.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from . import bernoulli, parametric, trees
@@ -181,46 +185,40 @@ class CheckResult:
 
 
 def all_checks(quick: bool = False) -> list[tuple[str, Callable[[], bool]]]:
-    if quick:
-        return [
-            ("theorem-sweep", lambda: check_theorem_sweep(4, 16)),
-            ("genocchi-tri-route", lambda: check_genocchi_tri_route(8)),
-            ("tree-oracle", lambda: check_tree_oracle(5)),
-            ("inverse-consistency", lambda: check_inverse_consistency(3, 12)),
-            ("factorial-sum-formula", lambda: check_factorial_sum_formula(10)),
-            ("parametric-closed-form", lambda: check_parametric_closed_form(5)),
-            ("parametric-fixed-point", lambda: check_parametric_fixed_point(5)),
-            ("beta-identity", lambda: check_beta_identity(5, 6)),
-            ("hurwitz-closure", lambda: check_hurwitz_closure(50, 8)),
-            ("functional-forms", lambda: check_postnikov_forms(8)),
-            ("general-k-integrality", lambda: check_general_k_integrality(3, 12)),
-        ]
+    """(name, check) in run order; ``quick`` binds each check's reduced args.
+
+    Built on every call from the module's names, so a wrapper bound over a
+    check function is what both sizes run."""
+    table = [
+        ("theorem-sweep", check_theorem_sweep, (4, 16)),
+        ("genocchi-tri-route", check_genocchi_tri_route, (8,)),
+        ("tree-oracle", check_tree_oracle, (5,)),
+        ("inverse-consistency", check_inverse_consistency, (3, 12)),
+        ("factorial-sum-formula", check_factorial_sum_formula, (10,)),
+        ("parametric-closed-form", check_parametric_closed_form, (5,)),
+        ("parametric-fixed-point", check_parametric_fixed_point, (5,)),
+        ("beta-identity", check_beta_identity, (5, 6)),
+        ("hurwitz-closure", check_hurwitz_closure, (50, 8)),
+        ("functional-forms", check_postnikov_forms, (8,)),
+        ("general-k-integrality", check_general_k_integrality, (3, 12)),
+    ]
     return [
-        ("theorem-sweep", check_theorem_sweep),
-        ("genocchi-tri-route", check_genocchi_tri_route),
-        ("tree-oracle", check_tree_oracle),
-        ("inverse-consistency", check_inverse_consistency),
-        ("factorial-sum-formula", check_factorial_sum_formula),
-        ("parametric-closed-form", check_parametric_closed_form),
-        ("parametric-fixed-point", check_parametric_fixed_point),
-        ("beta-identity", check_beta_identity),
-        ("hurwitz-closure", check_hurwitz_closure),
-        ("functional-forms", check_postnikov_forms),
-        ("general-k-integrality", check_general_k_integrality),
+        (name, partial(check, *quick_args) if quick else check)
+        for name, check, quick_args in table
     ]
 
 
-def run_all(quick: bool = False, report=print) -> list[CheckResult]:
+def run_all(quick: bool = False) -> list[CheckResult]:
     results = []
     for name, check in all_checks(quick):
         start = time.perf_counter()
         try:
             passed = check()
         except Exception as exc:  # a raised invariant is a failure, not a crash
-            report(f"FAIL  {name}  (error: {exc})")
+            print(f"FAIL  {name}  (error: {exc})")
             results.append(CheckResult(name, False, time.perf_counter() - start))
             continue
         elapsed = time.perf_counter() - start
-        report(f"{'PASS' if passed else 'FAIL'}  {name}  ({elapsed:.2f}s)")
+        print(f"{'PASS' if passed else 'FAIL'}  {name}  ({elapsed:.2f}s)")
         results.append(CheckResult(name, passed, elapsed))
     return results

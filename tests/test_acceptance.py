@@ -1,96 +1,27 @@
-"""Acceptance suite: one test per criterion, exact equality throughout.
+"""Acceptance suite: every check of the ``verify`` registry, once, at full size.
 
 Every check is exact (integer/rational arithmetic), so there are no
-tolerances anywhere.  Each test prints a PASS line (visible with pytest -s)
-and the module can also be surveyed via ``hurwitz verify-all``.
+tolerances anywhere.  Each test prints a PASS line (visible with pytest -s);
+``hurwitz verify-all`` runs the same registry.
 """
 
 import pytest
 
 from hurwitz import verify
-from hurwitz.bernoulli import genocchi_oracle, m_series
-from hurwitz.cli import main
 from hurwitz.fixpoint import solve_tree_series
-from hurwitz.trees import count_alternating_trees
+
+CHECKS = verify.all_checks()
 
 
-def report(name):
+@pytest.mark.parametrize("name, check", CHECKS, ids=[name for name, _ in CHECKS])
+def test_check(name, check):
+    assert check()
     print(f"ACCEPTANCE  {name}: PASS")
 
 
-def test_criterion_1_theorem_sweep():
-    # h, k in [-8, 8], k != 0, n <= 32: both routes agree, every M_n is an
-    # integer; includes criterion 9 (reduction factor integral and exact)
-    assert verify.check_theorem_sweep(hk_bound=8, order=32)
-    report("criterion-1 theorem-sweep (and criterion-9 reduction)")
-
-
-def test_criterion_2_genocchi_tri_route():
-    assert verify.check_genocchi_tri_route(order=16)
-    assert genocchi_oracle(8).coeffs == (0, 1, -1, 0, 1, 0, -3, 0, 17)
-    report("criterion-2 genocchi-tri-route")
-
-
 def test_criterion_3_tree_oracle():
+    # the alternating-tree numbers of OEIS A007889; the tree-oracle check
+    # ties the same series to the brute-force Prufer counts
     a = solve_tree_series(2, 7)
-    counts = [count_alternating_trees(n + 1) for n in range(1, 8)]
-    assert counts == [1, 2, 7, 36, 246, 2104, 21652]
-    assert [a[n] for n in range(1, 8)] == counts
-    report("criterion-3 tree-oracle")
-
-
-def test_criterion_4_inverse_consistency():
-    assert verify.check_inverse_consistency(max_k=6, order=24)
-    report("criterion-4 inverse-consistency")
-
-
-def test_criterion_5_factorial_sum_formula():
-    assert verify.check_factorial_sum_formula(max_n=20)
-    report("criterion-5 factorial-sum-formula")
-
-
-def test_criterion_6_parametric_closed_form():
-    assert verify.check_parametric_closed_form(order=8)
-    report("criterion-6 parametric-closed-form")
-
-
-def test_criterion_7_parametric_fixed_point():
-    assert verify.check_parametric_fixed_point(order=8)
-    report("criterion-7 parametric-fixed-point")
-
-
-def test_criterion_8_beta_identity():
-    assert verify.check_beta_identity(total_degree=10, diag_n=12)
-    report("criterion-8 beta-identity")
-
-
-def test_criterion_10_hurwitz_closure():
-    assert verify.check_hurwitz_closure(instances=200, order=12)
-    report("criterion-10 hurwitz-closure")
-
-
-class TestCriterion11CliContract:
-    def test_verify_all_exits_zero(self):
-        assert main(["verify-all"]) == 0
-
-    def test_injected_fault_detected(self):
-        assert (
-            main(
-                ["compute", "--h", "1", "--k", "2", "--order", "8",
-                 "--route", "both", "--inject-fault", "4"]
-            )
-            == 1
-        )
-
-    def test_bfile_roundtrip(self, tmp_path):
-        gf = m_series(1, 2, 12)
-        path = tmp_path / "b.txt"
-        path.write_text("\n".join(f"{n} {gf[n]}" for n in range(13)) + "\n")
-        assert (
-            main(
-                ["bfile-check", "--file", str(path), "--sequence", "am",
-                 "--h", "1", "--k", "2", "--order", "12"]
-            )
-            == 0
-        )
-        report("criterion-11 cli-contract")
+    assert [a[n] for n in range(1, 8)] == [1, 2, 7, 36, 246, 2104, 21652]
+    print("ACCEPTANCE  criterion-3 tree-oracle: PASS")

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hurwitz.bernoulli import (
-    bernoulli_numbers,
+    bernoulli_factor,
     bernoulli_poly_at,
     certify,
     genocchi_oracle,
@@ -21,10 +21,10 @@ F = Fraction
 
 class TestBernoulli:
     def test_numbers(self):
-        assert bernoulli_numbers(4).coeffs == (1, F(-1, 2), F(1, 6), 0, F(-1, 30))
+        assert bernoulli_factor(4).coeffs == (1, F(-1, 2), F(1, 6), 0, F(-1, 30))
 
     def test_odd_vanishing(self):
-        b = bernoulli_numbers(13)
+        b = bernoulli_factor(13)
         assert all(b[n] == 0 for n in range(3, 14, 2))
 
     def test_poly_values(self):
@@ -32,7 +32,7 @@ class TestBernoulli:
         assert bernoulli_poly_at(1, 1) == F(1, 2)
 
     def test_poly_at_zero_is_number(self):
-        b = bernoulli_numbers(12)
+        b = bernoulli_factor(12)
         assert all(bernoulli_poly_at(n, 0) == b[n] for n in range(13))
 
 
@@ -168,12 +168,12 @@ class TestCertify:
         lambda: m_direct(-1, 1, 2),
         lambda: reduction_factor(1, 2, -1),
         lambda: inverse_tree_series(2, -1),
-        lambda: bernoulli_numbers(-1),
+        lambda: bernoulli_factor(-1),
         lambda: genocchi_oracle(-1),
     ],
     ids=[
         "m_series", "m_direct_values", "m_direct", "reduction_factor",
-        "inverse_tree_series", "bernoulli_numbers", "genocchi_oracle",
+        "inverse_tree_series", "bernoulli_factor", "genocchi_oracle",
     ],
 )
 def test_negative_order_rejected(call):

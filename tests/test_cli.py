@@ -1,5 +1,6 @@
 import pytest
 
+from hurwitz import verify
 from hurwitz.cli import main
 
 
@@ -223,3 +224,32 @@ class TestVerifyAll:
         code, out = run(capsys, "verify-all", "--quick")
         assert code == 0
         assert "FAIL" not in out
+
+    def test_failures_refute(self, capsys, monkeypatch):
+        def raises():
+            raise ArithmeticError("boom")
+
+        checks = [("holds", lambda: True), ("fails", lambda: False), ("raises", raises)]
+        monkeypatch.setattr(verify, "all_checks", lambda quick=False: checks)
+        code, out = run(capsys, "verify-all")
+        assert code == 1
+        lines = out.splitlines()
+        assert [line.split()[:2] for line in lines[:3]] == [
+            ["PASS", "holds"], ["FAIL", "fails"], ["FAIL", "raises"],
+        ]
+        assert "(error: boom)" in lines[2]
+        assert lines[3:] == ["1/3 checks passed"]
+
+    def test_quick_and_full_name_the_same_checks(self):
+        names = [name for name, _ in verify.all_checks()]
+        assert len(names) == 11
+        assert [name for name, _ in verify.all_checks(quick=True)] == names
+
+    def test_both_sizes_call_the_module_function(self, monkeypatch):
+        # the registry reads the module's names on every call, so a wrapper
+        # bound over a check function is what both sizes run
+        calls = []
+        monkeypatch.setattr(verify, "check_beta_identity", lambda *a: calls.append(a))
+        for quick in (False, True):
+            dict(verify.all_checks(quick))["beta-identity"]()
+        assert calls == [(), (5, 6)]
