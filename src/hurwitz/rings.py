@@ -2,13 +2,15 @@
 
 Two coefficient rings are provided behind a common contract (``RationalRing``
 and ``PolyRing``): exact arbitrary-precision rationals, and sparse polynomials
-in the four indeterminates a1, a2, b1, b2 with rational coefficients.  The
-series engine in :mod:`hurwitz.series` is generic over either ring.
+in the four indeterminates a1, a2, b1, b2 with integer coefficients
+(:mod:`hurwitz.poly`).  The series engine in :mod:`hurwitz.series` is generic
+over either ring.
 
-The contract also owns the two O(n^2) series kernels, ``convolve`` (the EGF
-product) and ``reciprocal`` (triangular back-substitution), so each ring runs
-them in its own arithmetic: ``RationalRing`` on Python ints, scaled once to
-integer numerators over a common denominator, and ``PolyRing`` term by term.
+The contract also owns the O(n^2) series kernel ``convolve`` (the EGF
+product), so each ring runs it in its own arithmetic: ``RationalRing`` on
+Python ints, scaled once to integer numerators over a common denominator, and
+``PolyRing`` term by term.  ``RationalRing`` also runs ``reciprocal``
+(triangular back-substitution) that way.
 """
 
 from __future__ import annotations
@@ -17,15 +19,7 @@ from fractions import Fraction
 from math import comb, lcm
 from operator import add, mul
 
-VARIABLES = ("a1", "a2", "b1", "b2")
-
-
-class NonDivisibleError(ArithmeticError):
-    """Exact polynomial division left a nonzero remainder."""
-
-    def __init__(self, remainder):
-        self.remainder = remainder
-        super().__init__(f"not exactly divisible; remainder {remainder}")
+from .poly import VARIABLES, MultiPoly, NonDivisibleError, as_poly  # noqa: F401  (re-exports)
 
 
 def rational(numerator, denominator=1) -> Fraction:
@@ -78,202 +72,6 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"cannot coerce {value!r} to a rational")
 
 
-class MultiPoly:
-    """Sparse polynomial in a1, a2, b1, b2 with Fraction coefficients.
-
-    Terms are a map from exponent 4-tuples to nonzero coefficients; equality
-    is map equality, so the representation is canonical.  Instances are
-    immutable.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for exps, coeff in terms.items():
-                coeff = _as_fraction(coeff)
-                if coeff == 0:
-                    continue
-                exps = tuple(exps)
-                if len(exps) != 4 or any(e < 0 for e in exps):
-                    raise ValueError(f"bad exponent tuple {exps}")
-                clean[exps] = coeff
-        self._terms = clean
-
-    @staticmethod
-    def constant(value) -> "MultiPoly":
-        return MultiPoly({(0, 0, 0, 0): _as_fraction(value)})
-
-    @staticmethod
-    def variable(name: str) -> "MultiPoly":
-        exps = [0, 0, 0, 0]
-        exps[VARIABLES.index(name)] = 1
-        return MultiPoly({tuple(exps): Fraction(1)})
-
-    @property
-    def terms(self):
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_constant(self) -> bool:
-        return all(e == (0, 0, 0, 0) for e in self._terms)
-
-    def constant_value(self) -> Fraction:
-        return self._terms.get((0, 0, 0, 0), Fraction(0))
-
-    def coefficient(self, exps) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self._terms.values())
-
-    def total_degree(self) -> int:
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
-
-    def is_homogeneous(self, degree: int) -> bool:
-        return all(sum(e) == degree for e in self._terms)
-
-    def __eq__(self, other):
-        if isinstance(other, MultiPoly):
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self == MultiPoly.constant(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        return MultiPoly(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                terms[exps] = terms.get(exps, Fraction(0)) + c1 * c2
-        return MultiPoly(terms)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        scalar = _as_fraction(scalar)
-        return MultiPoly({e: c / scalar for e, c in self._terms.items()})
-
-    def _coerce(self, other):
-        if isinstance(other, MultiPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return MultiPoly.constant(other)
-        return NotImplemented
-
-    def evaluate(self, assignment) -> Fraction:
-        """Exact value at an assignment {a1: q, a2: q, b1: q, b2: q}."""
-        values = tuple(_as_fraction(assignment[v]) for v in VARIABLES)
-        total = Fraction(0)
-        for exps, coeff in self._terms.items():
-            term = coeff
-            for value, e in zip(values, exps):
-                term *= value**e
-            total += term
-        return total
-
-    def _leading(self):
-        # fixed monomial order: lexicographic with a1 > a2 > b1 > b2
-        exps = max(self._terms)
-        return exps, self._terms[exps]
-
-    def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
-        """Quotient q with q * divisor == self; NonDivisibleError otherwise.
-
-        Single-divisor multivariate division on the lex order; a nonzero
-        remainder is always an error, never truncated away.
-        """
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        d_exps, d_coeff = divisor._leading()
-        quotient = {}
-        remainder = {}
-        work = dict(self._terms)
-        while work:
-            exps = max(work)
-            coeff = work.pop(exps)
-            diff = tuple(a - b for a, b in zip(exps, d_exps))
-            if any(e < 0 for e in diff):
-                remainder[exps] = coeff
-                continue
-            q = coeff / d_coeff
-            quotient[diff] = quotient.get(diff, Fraction(0)) + q
-            for e2, c2 in divisor._terms.items():
-                if e2 == d_exps:
-                    continue
-                tgt = tuple(a + b for a, b in zip(diff, e2))
-                new = work.get(tgt, Fraction(0)) - q * c2
-                if new == 0:
-                    work.pop(tgt, None)
-                else:
-                    work[tgt] = new
-        if remainder:
-            raise NonDivisibleError(MultiPoly(remainder))
-        return MultiPoly(quotient)
-
-    def render(self) -> str:
-        """Monomials in descending lex order, e.g. ``-a1 - 2*a2*b1^2 + 1/2``."""
-        if not self._terms:
-            return "0"
-        parts = []
-        for exps in sorted(self._terms, reverse=True):
-            coeff = self._terms[exps]
-            factors = [
-                v if e == 1 else f"{v}^{e}"
-                for v, e in zip(VARIABLES, exps)
-                if e > 0
-            ]
-            mag = render_rational(abs(coeff))
-            if factors and mag == "1":
-                body = "*".join(factors)
-            elif factors:
-                body = "*".join([mag] + factors)
-            else:
-                body = mag
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"{'+' if coeff > 0 else '-'} {body}")
-        return " ".join(parts)
-
-    def __repr__(self):
-        return f"MultiPoly({self.render()})"
-
-
 class RationalRing:
     """Coefficient-ring contract over exact rationals."""
 
@@ -304,6 +102,9 @@ class RationalRing:
 
     def is_integral(self, c) -> bool:
         return _as_fraction(c).denominator == 1
+
+    def divide(self, c, n: int) -> Fraction:
+        return c / n
 
     def convolve(self, f, g) -> list[Fraction]:
         """(fg)_n = sum_j C(n,j) f_j g_{n-j} for equal-length f and g.
@@ -361,9 +162,9 @@ class RationalRing:
 
 
 class PolyRing:
-    """Coefficient-ring contract over MultiPoly in a1, a2, b1, b2."""
+    """Coefficient-ring contract over MultiPoly: Z[a1, a2, b1, b2]."""
 
-    name = "Q[a1,a2,b1,b2]"
+    name = "Z[a1,a2,b1,b2]"
 
     zero = MultiPoly()
     one = MultiPoly.constant(1)
@@ -371,52 +172,38 @@ class PolyRing:
     def from_int(self, n: int) -> MultiPoly:
         return MultiPoly.constant(n)
 
-    def coerce(self, c) -> MultiPoly:
-        return self._coerce(c)
+    coerce = staticmethod(as_poly)
 
     def is_zero(self, c) -> bool:
-        return self._coerce(c).is_zero()
+        return as_poly(c).is_zero()
 
     def is_one(self, c) -> bool:
-        return self._coerce(c) == self.one
+        return as_poly(c) == 1
 
     def is_unit(self, c) -> bool:
-        c = self._coerce(c)
-        return c.is_constant() and not c.is_zero()
+        c = as_poly(c)
+        return c == 1 or c == -1
 
     def invert(self, c) -> MultiPoly:
-        c = self._coerce(c)
+        c = as_poly(c)
         if not self.is_unit(c):
             raise ZeroDivisionError(f"{c.render()} is not a unit")
-        return MultiPoly.constant(1 / c.constant_value())
+        return c  # 1 and -1 are their own inverses
 
     def is_integral(self, c) -> bool:
-        return self._coerce(c).is_integral()
+        as_poly(c)  # the coefficients are ints by construction
+        return True
+
+    def divide(self, c, n: int) -> MultiPoly:
+        """c / n coefficient by coefficient; NonDivisibleError on a remainder."""
+        return as_poly(c).exact_div(n)
 
     def convolve(self, f, g) -> list[MultiPoly]:
         """(fg)_n = sum_j C(n,j) f_j g_{n-j} for equal-length f and g."""
         return [product_coefficient(f, g, n, self) for n in range(len(f))]
 
-    def reciprocal(self, c) -> list[MultiPoly]:
-        """g with c * g = 1, by triangular back-substitution; c_0 must be a
-        unit."""
-        inv0 = self.invert(c[0])
-        g = [inv0]
-        for n in range(1, len(c)):
-            acc = self.zero
-            for j in range(n):
-                acc = acc + comb(n, j) * g[j] * c[n - j]
-            g.append(-(inv0 * acc))
-        return g
-
     def render(self, c) -> str:
-        return self._coerce(c).render()
-
-    @staticmethod
-    def _coerce(c) -> MultiPoly:
-        if isinstance(c, MultiPoly):
-            return c
-        return MultiPoly.constant(c)
+        return as_poly(c).render()
 
 
 QQ = RationalRing()

@@ -170,7 +170,7 @@ class EgfSeries:
             raise SeriesError("order too small to divide by x")
         return EgfSeries(
             self.ring,
-            [self.coeffs[n + 1] / (n + 1) for n in range(self.order)],
+            [self.ring.divide(self.coeffs[n + 1], n + 1) for n in range(self.order)],
         )
 
     def mul_by_x(self):
@@ -185,21 +185,24 @@ class EgfSeries:
     def compose(self, inner):
         """self(inner(x)) for inner with zero constant term.
 
-        Accumulates f_m * inner^m / m!; since inner has no constant term the
-        x^n coefficient of inner^m vanishes for m > n, so the loop is finite.
+        Accumulates f_m * (N!/m!) * inner^m, with N the order, and divides
+        each coefficient once by N! with ``ring.divide``; since inner has no
+        constant term the x^n coefficient of inner^m vanishes for m > n, so
+        the loop is finite.  Over POLY the division is exact: the composite
+        of series with integral coefficients is a Hurwitz series.
         """
         self._check(inner)
         ring = self.ring
         if not ring.is_zero(inner.coeffs[0]):
             raise SeriesError("compose requires inner constant term 0")
         order = self.order
-        result = EgfSeries.one(order, ring).scale(self.coeffs[0])
+        top = factorial(order)
+        result = EgfSeries.one(order, ring).scale(self.coeffs[0] * top)
         power = EgfSeries.one(order, ring)
         for m in range(1, order + 1):
             power = power * inner
-            term = power.scale(self.coeffs[m] * Fraction(1, factorial(m)))
-            result = result + term
-        return result
+            result = result + power.scale(self.coeffs[m] * (top // factorial(m)))
+        return EgfSeries(ring, [ring.divide(c, top) for c in result.coeffs])
 
     def comp_inverse(self):
         """g with g(self(x)) = x (hence also self(g(x)) = x), solved order

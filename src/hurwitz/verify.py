@@ -84,7 +84,7 @@ def check_factorial_sum_formula(max_n: int = 20) -> bool:
     )
 
 
-def check_parametric_closed_form(order: int = 8) -> bool:
+def check_parametric_closed_form(order: int = 16) -> bool:
     """Monomial-by-monomial match of the inverse expansion with the closed
     form, homogeneity of degree n-1, and the k=2 specialization."""
     series = parametric.parametric_inverse_series(order)
@@ -111,7 +111,7 @@ def check_parametric_closed_form(order: int = 8) -> bool:
     )
 
 
-def check_parametric_fixed_point(order: int = 8) -> bool:
+def check_parametric_fixed_point(order: int = 12) -> bool:
     """The four-parameter fixed point has integer polynomial coefficients,
     satisfies the functional equation, and inverts the logarithmic series."""
     f = parametric.solve_parametric_f(order)

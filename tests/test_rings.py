@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hurwitz.poly import MAX_EXPONENT, VARIABLES
 from hurwitz.rings import (
     POLY,
     QQ,
@@ -77,15 +78,45 @@ class TestMultiPoly:
         assert not exc.value.remainder.is_zero()
 
     def test_integrality(self):
-        p = 3 * A1 * B2 + Fraction(1, 2) * A2
-        assert not POLY.is_integral(p)
+        with pytest.raises(TypeError, match=r"Fraction\(1, 2\)"):
+            MultiPoly({(0, 1, 0, 0): Fraction(1, 2)})
+        with pytest.raises(TypeError, match=r"Fraction\(1, 2\)"):
+            Fraction(1, 2) * A2
+        with pytest.raises(TypeError, match=r"Fraction\(3, 1\)"):
+            POLY.coerce(Fraction(3))
         assert POLY.is_integral(3 * A1 * B2 - 17 * A2)
 
     def test_render(self):
         p = -A1 - A2 - B1 - B2
         assert p.render() == "-a1 - a2 - b1 - b2"
-        assert (Fraction(1, 2) * A1 * A1).render() == "1/2*a1^2"
+        assert (3 - A1 - 2 * A2 * B1 * B1).render() == "-a1 - 2*a2*b1^2 + 3"
         assert MultiPoly().render() == "0"
+
+    def test_exponent_overflow_raises(self):
+        for i in range(4):
+            top = [0, 0, 0, 0]
+            top[i] = MAX_EXPONENT
+            x = MultiPoly({tuple(top): 1})
+            var = MultiPoly.variable(VARIABLES[i])
+            with pytest.raises(OverflowError):
+                x * var
+            with pytest.raises(OverflowError):
+                x * (var + 1)
+            # a neighbouring variable's field does not overflow
+            assert (x * MultiPoly.variable(VARIABLES[i - 1])).terms
+        half = MultiPoly({(MAX_EXPONENT // 2 + 1, 0, 0, 0): 1})
+        assert (half * MultiPoly({(MAX_EXPONENT // 2, 0, 0, 0): 1})).terms == {
+            (MAX_EXPONENT, 0, 0, 0): 1
+        }
+        with pytest.raises(OverflowError):
+            half * half
+        with pytest.raises(ValueError):
+            MultiPoly({(0, 0, MAX_EXPONENT + 1, 0): 1})
+
+    def test_non_integer_quotient_raises(self):
+        with pytest.raises(NonDivisibleError):
+            (3 * A1).exact_div(2 * A1)
+        assert (6 * A1 * B2 - 4 * B2).exact_div(2 * B2) == 3 * A1 - 2
 
 
 # -- property tests --------------------------------------------------------
@@ -102,16 +133,111 @@ def test_rational_ring_laws(x, y, z):
     assert rational(x.numerator, x.denominator) == x
 
 
-exponents = st.tuples(*[st.integers(0, 3)] * 4).filter(lambda e: sum(e) <= 6)
-small_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
-polys = st.dictionaries(exponents, small_coeffs, max_size=8).map(MultiPoly)
-assignments = st.fixed_dictionaries(
-    {v: small_coeffs for v in ("a1", "a2", "b1", "b2")}
-)
+# ReferencePoly is the tuple-keyed, Fraction-valued MultiPoly that ran the
+# parametric series before MultiPoly moved to packed keys and int
+# coefficients; it is kept only as the oracle for the property tests below.
+
+
+class ReferencePoly:
+    def __init__(self, terms):
+        self.terms = {tuple(e): Fraction(c) for e, c in terms.items() if c != 0}
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for exps, coeff in other.terms.items():
+            terms[exps] = terms.get(exps, Fraction(0)) + coeff
+        return ReferencePoly(terms)
+
+    def __neg__(self):
+        return ReferencePoly({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        terms = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                exps = tuple(a + b for a, b in zip(e1, e2))
+                terms[exps] = terms.get(exps, Fraction(0)) + c1 * c2
+        return ReferencePoly(terms)
+
+    def evaluate(self, assignment):
+        values = [Fraction(assignment[v]) for v in VARIABLES]
+        total = Fraction(0)
+        for exps, coeff in self.terms.items():
+            term = coeff
+            for value, e in zip(values, exps):
+                term *= value**e
+            total += term
+        return total
+
+    def exact_div(self, divisor):
+        """The lex-order division over the rationals; None on a remainder."""
+        d_exps = max(divisor.terms)
+        d_coeff = divisor.terms[d_exps]
+        quotient, remainder = {}, {}
+        work = dict(self.terms)
+        while work:
+            exps = max(work)
+            coeff = work.pop(exps)
+            diff = tuple(a - b for a, b in zip(exps, d_exps))
+            if any(e < 0 for e in diff):
+                remainder[exps] = coeff
+                continue
+            q = coeff / d_coeff
+            quotient[diff] = quotient.get(diff, Fraction(0)) + q
+            for e2, c2 in divisor.terms.items():
+                if e2 == d_exps:
+                    continue
+                tgt = tuple(a + b for a, b in zip(diff, e2))
+                new = work.get(tgt, Fraction(0)) - q * c2
+                if new == 0:
+                    work.pop(tgt, None)
+                else:
+                    work[tgt] = new
+        return None if remainder else ReferencePoly(quotient)
+
+    def render(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for exps in sorted(self.terms, reverse=True):
+            coeff = self.terms[exps]
+            factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(VARIABLES, exps) if e > 0]
+            mag = render_rational(abs(coeff))
+            if factors and mag == "1":
+                body = "*".join(factors)
+            elif factors:
+                body = "*".join([mag] + factors)
+            else:
+                body = mag
+            if not parts:
+                parts.append(body if coeff > 0 else f"-{body}")
+            else:
+                parts.append(f"{'+' if coeff > 0 else '-'} {body}")
+        return " ".join(parts)
+
+
+def ref(p: MultiPoly) -> ReferencePoly:
+    return ReferencePoly(p.terms)
+
+
+# small exponents, and exponents whose pairwise sums reach the packing limit
+exponent = st.one_of(st.integers(0, 3), st.integers(MAX_EXPONENT // 2 - 2, MAX_EXPONENT // 2))
+exponents = st.tuples(*[exponent] * 4)
+small_coeffs = st.integers(-9, 9)
+int_coeffs = st.one_of(small_coeffs, st.integers(-(2**100), 2**100))
+polys = st.dictionaries(exponents, int_coeffs, max_size=8).map(MultiPoly)
+small_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 4).filter(lambda e: sum(e) <= 6), small_coeffs, max_size=8
+).map(MultiPoly)
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+assignments = st.fixed_dictionaries({v: rationals for v in VARIABLES})
 
 
 @settings(max_examples=60)
-@given(polys, polys)
+@given(small_polys, small_polys)
 def test_exact_div_roundtrip(p, q):
     if q.is_zero():
         return
@@ -119,15 +245,45 @@ def test_exact_div_roundtrip(p, q):
 
 
 @settings(max_examples=60)
-@given(polys, polys, assignments)
+@given(small_polys, small_polys, assignments)
 def test_eval_is_ring_homomorphism(p, q, v):
     assert (p * q).evaluate(v) == p.evaluate(v) * q.evaluate(v)
     assert (p + q).evaluate(v) == p.evaluate(v) + q.evaluate(v)
 
 
 @settings(max_examples=60)
-@given(polys, polys, polys)
+@given(small_polys, small_polys, small_polys)
 def test_poly_ring_laws(p, q, r):
     assert (p + q) + r == p + (q + r)
     assert p * (q + r) == p * q + p * r
     assert p * q == q * p
+
+
+@settings(max_examples=60)
+@given(polys, polys)
+def test_arithmetic_matches_reference(p, q):
+    assert (p * q).terms == (ref(p) * ref(q)).terms
+    assert (p + q).terms == (ref(p) + ref(q)).terms
+    assert (p - q).terms == (ref(p) - ref(q)).terms
+    assert (7 * p).terms == (ref(MultiPoly.constant(7)) * ref(p)).terms
+
+
+@settings(max_examples=60)
+@given(polys, polys, st.booleans())
+def test_exact_div_matches_reference(p, q, multiply):
+    if q.is_zero():
+        return
+    dividend = p * q if multiply else p
+    expected = ref(dividend).exact_div(ref(q))
+    if expected is not None and all(c.denominator == 1 for c in expected.terms.values()):
+        assert dividend.exact_div(q).terms == expected.terms
+    else:
+        with pytest.raises(NonDivisibleError):
+            dividend.exact_div(q)
+
+
+@settings(max_examples=60)
+@given(polys, assignments)
+def test_render_and_evaluate_match_reference(p, v):
+    assert p.render() == ref(p).render()
+    assert p.evaluate(v) == ref(p).evaluate(v)

@@ -1,11 +1,12 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hurwitz.rings import QQ
+from hurwitz.parametric import parametric_inverse_series, solve_parametric_f
+from hurwitz.rings import POLY, QQ, MultiPoly, NonDivisibleError
 from hurwitz.series import EgfSeries, SeriesError
 
 F = Fraction
@@ -333,3 +334,89 @@ def test_qq_reciprocal_zero_constant_raises(c):
         QQ.reciprocal(c)
     with pytest.raises(SeriesError, match="not a unit"):
         qs(*c).reciprocal()
+
+
+# -- compose against the Fraction(1, m!) loop --------------------------------
+#
+# reference_compose is the loop that ran EgfSeries.compose before it
+# accumulated f_m (N!/m!) inner^m and divided once by N!; it is kept as the
+# test oracle.  It needs rational coefficients, so a composite over POLY is
+# checked through its values at rational points.
+
+
+def reference_compose(f, inner):
+    order = f.order
+    result = EgfSeries.one(order, QQ).scale(f.coeffs[0])
+    power = EgfSeries.one(order, QQ)
+    for m in range(1, order + 1):
+        power = power * inner
+        result = result + power.scale(f.coeffs[m] * Fraction(1, factorial(m)))
+    return result
+
+
+def at_point(series, point):
+    return EgfSeries(QQ, [c.evaluate(point) for c in series.coeffs])
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(0, 16).flatmap(
+        lambda n: st.tuples(coefficients(n), coefficients(n))
+    )
+)
+@example(([F(3)], [F(0)]))
+@example((MIXED_40[:17], [F(0)] + MIXED_40[1:17]))
+def test_qq_compose_matches_fraction_loop(pair):
+    f, inner = qs(*pair[0]), qs(F(0), *pair[1][1:])
+    got = f.compose(inner)
+    assert got == reference_compose(f, inner)
+    assert all(type(c) is Fraction for c in got.coeffs)
+
+
+points = st.fixed_dictionaries(
+    {v: st.fractions(min_value=-5, max_value=5, max_denominator=7) for v in ("a1", "a2", "b1", "b2")}
+)
+small_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 4), st.integers(-5, 5), max_size=4
+).map(MultiPoly)
+
+
+def poly_series(order, zero_constant=False):
+    def build(coeffs):
+        if zero_constant:
+            coeffs[0] = POLY.zero
+        return EgfSeries(POLY, coeffs)
+
+    return st.lists(small_polys, min_size=order + 1, max_size=order + 1).map(build)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 6), points)
+def test_poly_inverse_compose_matches_fraction_loop(order, point):
+    f = solve_parametric_f(order)
+    inverse = parametric_inverse_series(order)
+    got = inverse.compose(f)
+    expected = EgfSeries.basis(1, order, POLY) if order else EgfSeries.zero(0, POLY)
+    assert got == expected
+    assert at_point(got, point) == reference_compose(at_point(inverse, point), at_point(f, point))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda n: st.tuples(poly_series(n), poly_series(n, zero_constant=True))
+    ),
+    points,
+)
+def test_poly_compose_matches_fraction_loop(pair, point):
+    f, inner = pair
+    got = f.compose(inner)
+    assert at_point(got, point) == reference_compose(at_point(f, point), at_point(inner, point))
+
+
+def test_poly_divide_raises_on_remainder():
+    a1, b2 = MultiPoly.variable("a1"), MultiPoly.variable("b2")
+    assert POLY.divide(6 * a1 - 4 * b2, -2) == -3 * a1 + 2 * b2
+    with pytest.raises(NonDivisibleError) as exc:
+        POLY.divide(6 * a1 - 3 * b2, 2)
+    assert exc.value.remainder == -3 * b2
