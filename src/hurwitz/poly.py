@@ -139,25 +139,16 @@ class MultiPoly:
         return as_poly(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return _poly({k: c * other for k, c in self._terms.items()} if other else {})
         a, b = self._terms, as_poly(other)._terms
         if len(a) < len(b):
             a, b = b, a
-        if not b:
-            return _poly({})
-        pairs = iter(b.items())
-        k2, c2 = next(pairs)
-        # one row alone: distinct keys stay distinct and nothing cancels
-        terms = {k1 + k2: c1 * c2 for k1, c1 in a.items()}
+        terms = {}
         get = terms.get
-        for k2, c2 in pairs:
+        for k2, c2 in b.items():
             for k1, c1 in a.items():
                 k = k1 + k2
                 terms[k] = get(k, 0) + c1 * c2
-        if len(b) > 1:
-            terms = {k: c for k, c in terms.items() if c}
-        return _poly(_check_exponents(terms))
+        return _poly(_check_exponents({k: c for k, c in terms.items() if c}))
 
     __rmul__ = __mul__
 
@@ -191,11 +182,8 @@ class MultiPoly:
         quotient, remainder = {}, {}
         work = self._terms.copy()
         while work:
-            if rest:
-                key = max(work)
-                coeff = work.pop(key)
-            else:  # nothing is subtracted, so any order gives the same result
-                key, coeff = work.popitem()
+            key = max(work)
+            coeff = work.pop(key)
             q, r = divmod(coeff, lead_coeff)
             # the monomial divides iff no field of key - lead borrows from its guard
             if r or ((key | _GUARD) - lead) & _GUARD != _GUARD:

@@ -4,7 +4,8 @@ Two coefficient rings are provided behind a common contract (``RationalRing``
 and ``PolyRing``): exact arbitrary-precision rationals, and sparse polynomials
 in the four indeterminates a1, a2, b1, b2 with integer coefficients
 (:mod:`hurwitz.poly`).  The series engine in :mod:`hurwitz.series` is generic
-over either ring.
+over either ring, except the reciprocal and log, which only ``RationalRing``
+supports.
 
 The contract also owns the O(n^2) series kernel ``convolve`` (the EGF
 product), so each ring runs it in its own arithmetic: ``RationalRing`` on

@@ -11,7 +11,6 @@ silently.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 from typing import NamedTuple, Optional
 
@@ -156,7 +155,9 @@ class EgfSeries:
 
     def reciprocal(self):
         """g with self * g = 1, by triangular back-substitution in the
-        coefficient ring's ``reciprocal``."""
+        coefficient ring's ``reciprocal``, which only QQ provides."""
+        if not hasattr(self.ring, "reciprocal"):
+            raise SeriesError(f"no series reciprocal over {self.ring.name}")
         if not self.ring.is_unit(self.coeffs[0]):
             raise SeriesError("constant term is not a unit")
         return EgfSeries(self.ring, self.ring.reciprocal(self.coeffs))
@@ -210,7 +211,9 @@ class EgfSeries:
 
         Expanding g(f) = sum_m g_m f^m / m!, coefficient n of the equation
         g(f) = x is linear in g_n with slope f_1^n, a unit; the powers of f
-        are computed once up front.
+        are computed once up front.  Each coefficient of f^m is divided by m!
+        with ``ring.divide``, exactly over POLY: f^m / m! is a Hurwitz series
+        when f is one with constant term 0.
         """
         ring = self.ring
         if self.order < 1:
@@ -228,8 +231,8 @@ class EgfSeries:
             target = ring.one if n == 1 else ring.zero
             acc = ring.zero
             for m in range(1, n):
-                acc = acc + g[m] * powers[m][n] * Fraction(1, factorial(m))
-            lead = powers[n][n] * Fraction(1, factorial(n))  # = f_1^n
+                acc = acc + g[m] * ring.divide(powers[m][n], factorial(m))
+            lead = ring.divide(powers[n][n], factorial(n))  # = f_1^n
             g[n] = ring.invert(lead) * (target - acc)
         return EgfSeries(ring, g)
 

@@ -81,6 +81,13 @@ class TestReciprocal:
         with pytest.raises(SeriesError):
             EgfSeries.basis(1, 3).reciprocal()
 
+    def test_poly_is_rational_only(self):
+        one_plus_x = EgfSeries(POLY, [1, 1, 0, 0])
+        with pytest.raises(SeriesError, match="no series reciprocal over Z"):
+            one_plus_x.reciprocal()
+        with pytest.raises(SeriesError, match="no series reciprocal over Z"):
+            one_plus_x.log()
+
 
 class TestDivByX:
     def test_exp_minus_one(self):
@@ -137,6 +144,10 @@ class TestCompInverse:
             EgfSeries.zero(0).comp_inverse()
         with pytest.raises(SeriesError):
             (EgfSeries.basis(1, 3) * EgfSeries.basis(1, 3)).comp_inverse()
+
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_poly_parametric_f(self, order):
+        assert solve_parametric_f(order).comp_inverse() == parametric_inverse_series(order)
 
 
 class TestExpLog:
@@ -412,6 +423,19 @@ def test_poly_compose_matches_fraction_loop(pair, point):
     f, inner = pair
     got = f.compose(inner)
     assert at_point(got, point) == reference_compose(at_point(f, point), at_point(inner, point))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(lambda n: poly_series(n, zero_constant=True)),
+    st.sampled_from([1, -1]),
+    points,
+)
+def test_poly_comp_inverse_commutes_with_evaluation(f, unit, point):
+    f = f.with_coefficient(1, POLY.from_int(unit))
+    inverse = f.comp_inverse()
+    assert inverse.compose(f) == EgfSeries.basis(1, f.order, POLY)
+    assert at_point(inverse, point) == at_point(f, point).comp_inverse()
 
 
 def test_poly_divide_raises_on_remainder():
