@@ -27,7 +27,7 @@ from .fixpoint import (
     verify_exp_form,
     verify_postnikov_form,
 )
-from .rings import POLY, QQ, MultiPoly, NonDivisibleError, binomial, rational
+from .rings import POLY, QQ, ZZ, MultiPoly, NonDivisibleError, binomial, rational
 from .series import EgfSeries, IntegralityReport, SeriesError
 from .trees import LabeledTree, count_alternating_trees, is_alternating, prufer_decode
 
@@ -42,6 +42,7 @@ __all__ = [
     "PhiSpec",
     "POLY",
     "QQ",
+    "ZZ",
     "SeriesError",
     "am_phi",
     "bernoulli_poly_at",

@@ -173,8 +173,14 @@ def certify(h: int, k: int, order: int, inject_fault: str | None = None) -> Inte
       5. final-equality: Q * gf(1,|k|) = gf(h,k), every M_n is an integer,
          and both computation routes agree coefficient by coefficient.
 
-    ``inject_fault`` corrupts one coefficient of the named step's series; it
-    exists so the refutation path is testable.
+    Steps 2-4 run over ZZ and compare with QQ series through ``over(QQ)``.
+    A is integral by construction: Phi has integer coefficients and the
+    online steps never divide.  Steps 3-4 are integral because their
+    divisions, by m! in the inverse and by N! in the substitution, are exact
+    ``ZZ.divide`` calls, which raise on a remainder.
+
+    ``inject_fault`` adds 1/2 to one coefficient of the named step's series,
+    lifted to QQ; it exists so the refutation path is testable.
     """
     if k == 0:
         raise SeriesError("k must be nonzero")
@@ -189,6 +195,7 @@ def certify(h: int, k: int, order: int, inject_fault: str | None = None) -> Inte
     def corrupt(series: EgfSeries, step: str) -> EgfSeries:
         if inject_fault != step:
             return series
+        series = series.over(QQ)  # 1/2 is not an element of ZZ
         n = min(2, series.order)
         return series.with_coefficient(n, series[n] + _ONE_HALF)
 
@@ -203,14 +210,16 @@ def certify(h: int, k: int, order: int, inject_fault: str | None = None) -> Inte
         CertificateStep(
             "comp-inverse",
             inv.integrality_report(),
-            equality_ok=inv == inverse_tree_series(ka, order),
+            equality_ok=inv.over(QQ) == inverse_tree_series(ka, order),
         )
     )
 
     g = corrupt(inv.subst_exp_minus_one(), "subst-exp")
     gf_base = m_series(1, ka, order)
     cert.steps.append(
-        CertificateStep("subst-exp", g.integrality_report(), equality_ok=g == gf_base)
+        CertificateStep(
+            "subst-exp", g.integrality_report(), equality_ok=g.over(QQ) == gf_base
+        )
     )
 
     gf_hk = m_series(h, k, order)

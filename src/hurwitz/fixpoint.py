@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .rings import QQ, binomial, product_coefficient
+from .rings import QQ, ZZ, binomial, product_coefficient
 from .series import EgfSeries, SeriesError, check_order
 
 
@@ -161,12 +161,17 @@ def am_phi(k: int) -> PhiSpec:
 
 
 def solve_tree_series(k: int, order: int) -> EgfSeries:
-    """The solution A of (1+A)^k = e^{x p_k(A)} up to the given order."""
-    return solve_fixed_point(am_phi(k), order)
+    """The solution A of (1+A)^k = e^{x p_k(A)} up to the given order, over
+    ZZ: Phi has integer coefficients and its online steps never divide, so A
+    is a Hurwitz series by construction."""
+    return solve_fixed_point(am_phi(k), order, ZZ)
 
 
 def verify_exp_form(a: EgfSeries, k: int) -> bool:
-    """Check (1+A)^k = e^{x p_k(A)} and B = e^{x(1+B+...+B^{k-1})/k}, B = 1+A."""
+    """Check (1+A)^k = e^{x p_k(A)} and B = e^{x(1+B+...+B^{k-1})/k}, B = 1+A.
+
+    A is lifted to QQ first, because the second form scales by 1/k."""
+    a = a.over(QQ)
     ring, order = a.ring, a.order
     if not ring.is_zero(a.coeffs[0]):
         raise SeriesError("expects zero constant term")
@@ -188,7 +193,8 @@ def verify_exp_form(a: EgfSeries, k: int) -> bool:
 
 
 def verify_postnikov_form(a: EgfSeries) -> bool:
-    """Check 1 + A = e^{(x/2)(2+A)}."""
+    """Check 1 + A = e^{(x/2)(2+A)}, with A lifted to QQ for the 1/2."""
+    a = a.over(QQ)
     ring, order = a.ring, a.order
     one = EgfSeries.one(order, ring)
     two_plus_a = one.scale(ring.from_int(2)) + a

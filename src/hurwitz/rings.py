@@ -1,17 +1,19 @@
-"""Exact coefficient arithmetic: rationals and sparse 4-variable polynomials.
+"""Exact coefficient arithmetic: rationals, integers and sparse 4-variable
+polynomials.
 
-Two coefficient rings are provided behind a common contract (``RationalRing``
-and ``PolyRing``): exact arbitrary-precision rationals, and sparse polynomials
-in the four indeterminates a1, a2, b1, b2 with integer coefficients
-(:mod:`hurwitz.poly`).  The series engine in :mod:`hurwitz.series` is generic
-over either ring, except the reciprocal and log, which only ``RationalRing``
-supports.
+Three coefficient rings are provided behind a common contract: Q
+(``RationalRing``), Z (``IntegerRing``, Python ints) and Z[a1,a2,b1,b2]
+(``PolyRing``, sparse polynomials with integer coefficients from
+:mod:`hurwitz.poly`).  The series engine in :mod:`hurwitz.series` is generic
+over all three, except the reciprocal and log, which only ``RationalRing``
+supports.  Over Z and Z[a1,a2,b1,b2] ``divide`` is exact and raises
+``NonDivisibleError`` on a remainder, so a Hurwitz series computed there is
+integral by construction.
 
 The contract also owns the O(n^2) series kernel ``convolve`` (the EGF
-product), so each ring runs it in its own arithmetic: ``RationalRing`` on
-Python ints, scaled once to integer numerators over a common denominator, and
-``PolyRing`` term by term.  ``RationalRing`` also runs ``reciprocal``
-(triangular back-substitution) that way.
+product): ``int_convolve`` over Z, the same loop on integer numerators over
+a common denominator over Q (which runs ``reciprocal`` that way too), and
+term by term over Z[a1,a2,b1,b2].
 """
 
 from __future__ import annotations
@@ -65,6 +67,27 @@ def _next_binomial_row(row: list[int]) -> list[int]:
     return [1, *map(add, row, row[1:]), 1]
 
 
+def int_convolve(f, g) -> list[int]:
+    """(fg)_n = sum_j C(n,j) f_j g_{n-j} for equal-length int sequences f
+    and g, with the binomial rows built by Pascal's rule."""
+    top = len(f) - 1
+    g_rev = g[::-1]
+    out = []
+    row = [1]
+    for n in range(top + 1):
+        if n:
+            row = _next_binomial_row(row)
+        # g_rev[top - n:] is g_n, g_{n-1}, ..., g_0
+        out.append(sum(map(mul, row, map(mul, f, g_rev[top - n:]))))
+    return out
+
+
+def _as_int(value) -> int:
+    if isinstance(value, int):
+        return value
+    raise TypeError(f"cannot coerce {value!r} to an integer")
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -111,22 +134,13 @@ class RationalRing:
         """(fg)_n = sum_j C(n,j) f_j g_{n-j} for equal-length f and g.
 
         Each operand is scaled once to integer numerators over its lcm
-        denominator; the sums run on ints, and one Fraction is built per
-        output coefficient.
+        denominator; ``int_convolve`` runs the sums, and one Fraction is
+        built per output coefficient.
         """
         df, f_nums = _numerators(f)
         dg, g_nums = _numerators(g)
         d = df * dg
-        top = len(f_nums) - 1
-        g_rev = g_nums[::-1]
-        out = []
-        row = [1]
-        for n in range(top + 1):
-            if n:
-                row = _next_binomial_row(row)
-            # g_rev[top - n:] is g_n, g_{n-1}, ..., g_0
-            out.append(Fraction(sum(map(mul, row, map(mul, f_nums, g_rev[top - n:]))), d))
-        return out
+        return [Fraction(s, d) for s in int_convolve(f_nums, g_nums)]
 
     def reciprocal(self, c) -> list[Fraction]:
         """g with c * g = 1: g_n = -(1/c_0) sum_{j<n} C(n,j) g_j c_{n-j}.
@@ -160,6 +174,54 @@ class RationalRing:
 
     def render(self, c) -> str:
         return render_rational(_as_fraction(c))
+
+
+class IntegerRing:
+    """Coefficient-ring contract over Python ints: Z.
+
+    ``coerce`` accepts only ints (a ``Fraction`` is rejected even when its
+    denominator is 1), the units are 1 and -1, and ``divide`` is exact.
+    """
+
+    name = "Z"
+
+    zero = 0
+    one = 1
+
+    def from_int(self, n: int) -> int:
+        return n
+
+    coerce = staticmethod(_as_int)
+
+    def is_zero(self, c) -> bool:
+        return c == 0
+
+    def is_one(self, c) -> bool:
+        return c == 1
+
+    def is_unit(self, c) -> bool:
+        return c == 1 or c == -1
+
+    def invert(self, c) -> int:
+        if not self.is_unit(c):
+            raise ZeroDivisionError(f"{c} is not a unit")
+        return c  # 1 and -1 are their own inverses
+
+    def is_integral(self, c) -> bool:
+        _as_int(c)
+        return True
+
+    def divide(self, c, n: int) -> int:
+        """c / n; NonDivisibleError on a remainder."""
+        q, r = divmod(c, n)
+        if r:
+            raise NonDivisibleError(r)
+        return q
+
+    convolve = staticmethod(int_convolve)
+
+    def render(self, c) -> str:
+        return str(_as_int(c))
 
 
 class PolyRing:
@@ -208,4 +270,5 @@ class PolyRing:
 
 
 QQ = RationalRing()
+ZZ = IntegerRing()
 POLY = PolyRing()

@@ -105,6 +105,11 @@ class EgfSeries:
                 f"order mismatch: {self.order} vs {other.order}"
             )
 
+    def over(self, ring):
+        """The same coefficients, coerced into another ring (to compare a
+        series over Z with one over Q, say: equality needs the same ring)."""
+        return EgfSeries(ring, self.coeffs)
+
     def with_coefficient(self, n, value):
         """Copy with coefficient n replaced (used by fault injection)."""
         coeffs = list(self.coeffs)
@@ -155,7 +160,8 @@ class EgfSeries:
 
     def reciprocal(self):
         """g with self * g = 1, by triangular back-substitution in the
-        coefficient ring's ``reciprocal``, which only QQ provides."""
+        coefficient ring's ``reciprocal``, which only QQ provides: over Z
+        and Z[a1,a2,b1,b2] it raises SeriesError."""
         if not hasattr(self.ring, "reciprocal"):
             raise SeriesError(f"no series reciprocal over {self.ring.name}")
         if not self.ring.is_unit(self.coeffs[0]):
@@ -189,8 +195,8 @@ class EgfSeries:
         Accumulates f_m * (N!/m!) * inner^m, with N the order, and divides
         each coefficient once by N! with ``ring.divide``; since inner has no
         constant term the x^n coefficient of inner^m vanishes for m > n, so
-        the loop is finite.  Over POLY the division is exact: the composite
-        of series with integral coefficients is a Hurwitz series.
+        the loop is finite.  Over ZZ and POLY the division is exact: the
+        composite of series with integral coefficients is a Hurwitz series.
         """
         self._check(inner)
         ring = self.ring
@@ -212,8 +218,8 @@ class EgfSeries:
         Expanding g(f) = sum_m g_m f^m / m!, coefficient n of the equation
         g(f) = x is linear in g_n with slope f_1^n, a unit; the powers of f
         are computed once up front.  Each coefficient of f^m is divided by m!
-        with ``ring.divide``, exactly over POLY: f^m / m! is a Hurwitz series
-        when f is one with constant term 0.
+        with ``ring.divide``, exactly over ZZ and POLY: f^m / m! is a Hurwitz
+        series when f is one with constant term 0.
         """
         ring = self.ring
         if self.order < 1:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hurwitz.bernoulli import (
+    STEP_NAMES,
     bernoulli_factor,
     bernoulli_poly_at,
     certify,
@@ -14,6 +15,7 @@ from hurwitz.bernoulli import (
     reduction_factor,
 )
 from hurwitz.fixpoint import solve_tree_series
+from hurwitz.rings import QQ
 from hurwitz.series import EgfSeries, SeriesError
 
 F = Fraction
@@ -96,7 +98,7 @@ class TestGenocchiRoutes:
     def test_tri_route(self):
         order = 12
         a2 = solve_tree_series(2, order)
-        via_inverse = a2.comp_inverse().subst_exp_minus_one()
+        via_inverse = a2.comp_inverse().subst_exp_minus_one().over(QQ)
         via_algebraic = inverse_tree_series(2, order).subst_exp_minus_one()
         gf = m_series(1, 2, order)
         assert gf == via_inverse == via_algebraic == genocchi_oracle(order)
@@ -106,7 +108,7 @@ class TestInverseTreeSeries:
     def test_matches_comp_inverse(self):
         for k in (1, 2, 3, 4):
             direct = inverse_tree_series(k, 12)
-            assert direct == solve_tree_series(k, 12).comp_inverse()
+            assert direct == solve_tree_series(k, 12).comp_inverse().over(QQ)
             assert direct.integrality_report().integral
 
     def test_k1_is_log(self):
@@ -158,6 +160,15 @@ class TestCertify:
             "subst-exp",
             "final-equality",
         ]
+
+
+@pytest.mark.parametrize("step", STEP_NAMES)
+def test_fault_injection_refutes_at_each_step(step):
+    # the tree-side steps run over ZZ; the fault is added after a lift to QQ
+    cert = certify(7, -3, 12, inject_fault=step)
+    assert not cert.valid
+    assert cert.failing_step == step
+    assert cert.render().endswith("REFUTED")
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hurwitz.poly import MAX_EXPONENT, VARIABLES
 from hurwitz.rings import (
     POLY,
     QQ,
+    ZZ,
     MultiPoly,
     NonDivisibleError,
     binomial,
@@ -39,6 +41,34 @@ class TestRational:
     def test_integrality(self):
         assert not QQ.is_integral(Fraction(1, 2))
         assert QQ.is_integral(Fraction(-17))
+
+
+class TestInteger:
+    def test_divide_is_exact(self):
+        assert ZZ.divide(-12, 4) == -3
+        assert ZZ.divide(10**40, 2**40) == 5**40
+        assert type(ZZ.divide(6, 3)) is int
+
+    @pytest.mark.parametrize("c, n", [(7, 2), (-7, 2), (1, 3), (10**40 + 1, 10)])
+    def test_divide_raises_on_remainder(self, c, n):
+        with pytest.raises(NonDivisibleError):
+            ZZ.divide(c, n)
+
+    @pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(3), 1.0, "3"])
+    def test_coerce_rejects_non_int(self, value):
+        with pytest.raises(TypeError, match=re.escape(repr(value))):
+            ZZ.coerce(value)
+
+    def test_units(self):
+        assert ZZ.is_unit(1) and ZZ.is_unit(-1)
+        assert not ZZ.is_unit(2) and not ZZ.is_unit(0)
+        assert ZZ.invert(-1) == -1
+        with pytest.raises(ZeroDivisionError, match="2 is not a unit"):
+            ZZ.invert(2)
+
+    def test_integral_and_render(self):
+        assert ZZ.is_integral(-17)
+        assert ZZ.render(-17) == "-17"
 
 
 class TestBinomial:

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hurwitz.parametric import parametric_inverse_series, solve_parametric_f
-from hurwitz.rings import POLY, QQ, MultiPoly, NonDivisibleError
+from hurwitz.rings import POLY, QQ, ZZ, MultiPoly, NonDivisibleError
 from hurwitz.series import EgfSeries, SeriesError
 
 F = Fraction
@@ -86,6 +86,13 @@ class TestReciprocal:
         with pytest.raises(SeriesError, match="no series reciprocal over Z"):
             one_plus_x.reciprocal()
         with pytest.raises(SeriesError, match="no series reciprocal over Z"):
+            one_plus_x.log()
+
+    def test_integer_is_rational_only(self):
+        one_plus_x = EgfSeries(ZZ, [1, 1, 0, 0])
+        with pytest.raises(SeriesError, match=r"no series reciprocal over Z$"):
+            one_plus_x.reciprocal()
+        with pytest.raises(SeriesError, match=r"no series reciprocal over Z$"):
             one_plus_x.log()
 
 
@@ -345,6 +352,52 @@ def test_qq_reciprocal_zero_constant_raises(c):
         QQ.reciprocal(c)
     with pytest.raises(SeriesError, match="not a unit"):
         qs(*c).reciprocal()
+
+
+# -- ZZ kernels against the QQ ones -----------------------------------------
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(0, 40).flatmap(
+        lambda n: st.tuples(*[st.lists(st.integers(-(2**100), 2**100), min_size=n + 1, max_size=n + 1)] * 2)
+    )
+)
+def test_zz_convolve_matches_fraction_loop(pair):
+    f, g = pair
+    got = ZZ.convolve(f, g)
+    assert got == reference_convolve(f, g)
+    assert all(type(c) is int for c in got)
+
+
+def zz_unit_linear_series(order):
+    def build(args):
+        coeffs, unit = args
+        return EgfSeries(ZZ, [0, unit, *coeffs[2:]])
+
+    return st.tuples(
+        st.lists(st.integers(-9, 9), min_size=order + 1, max_size=order + 1),
+        st.sampled_from([1, -1]),
+    ).map(build)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.tuples(
+            zz_unit_linear_series(n),
+            st.lists(st.integers(-9, 9), min_size=n + 1, max_size=n + 1),
+        )
+    )
+)
+def test_zz_comp_inverse_and_compose_match_qq(pair):
+    inner, outer = pair
+    outer = EgfSeries(ZZ, outer)
+    inverse = inner.comp_inverse()
+    composite = outer.compose(inner)
+    assert inverse.ring is ZZ and composite.ring is ZZ
+    assert inverse.over(QQ) == inner.over(QQ).comp_inverse()
+    assert composite.over(QQ) == outer.over(QQ).compose(inner.over(QQ))
 
 
 # -- compose against the Fraction(1, m!) loop --------------------------------
