@@ -175,9 +175,10 @@ def certify(h: int, k: int, order: int, inject_fault: str | None = None) -> Inte
 
     Steps 2-4 run over ZZ and compare with QQ series through ``over(QQ)``.
     A is integral by construction: Phi has integer coefficients and the
-    online steps never divide.  Steps 3-4 are integral because their
-    divisions, by m! in the inverse and by N! in the substitution, are exact
-    ``ZZ.divide`` calls, which raise on a remainder.
+    online steps never divide.  Step 3 is integral because its divisions by
+    m! are exact ``ZZ.divide`` calls, which raise on a remainder; step 4 is
+    integral by construction, each coefficient an integer combination
+    (Stirling numbers of the second kind) of the inverse's.
 
     ``inject_fault`` adds 1/2 to one coefficient of the named step's series,
     lifted to QQ; it exists so the refutation path is testable.

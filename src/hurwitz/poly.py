@@ -171,7 +171,10 @@ class MultiPoly:
         Single-divisor division on the lex order over the integers: a term
         whose monomial or coefficient the divisor's leading term does not
         divide goes to the remainder, and a nonzero remainder is always an
-        error, never truncated away.  The divisor may be an int.
+        error, never truncated away.  So does a term whose quotient step
+        would push an exponent past ``MAX_EXPONENT``: a multiple s * divisor
+        has deg_v(s) + deg_v(divisor) = deg_v(self) in each variable v, so
+        exact division never needs such a step.  The divisor may be an int.
         """
         d_terms = as_poly(divisor)._terms
         if not d_terms:
@@ -179,22 +182,23 @@ class MultiPoly:
         lead = max(d_terms)
         lead_coeff = d_terms[lead]
         rest = [(k, c) for k, c in d_terms.items() if k != lead]
+        # each field of rest_top is that exponent's maximum over rest
+        rest_top = _pack(map(max, zip((0,) * 4, *(_unpack(k) for k, _ in rest))))
         quotient, remainder = {}, {}
         work = self._terms.copy()
         while work:
             key = max(work)
             coeff = work.pop(key)
             q, r = divmod(coeff, lead_coeff)
-            # the monomial divides iff no field of key - lead borrows from its guard
-            if r or ((key | _GUARD) - lead) & _GUARD != _GUARD:
+            diff = key - lead
+            # the monomial divides iff no field of key - lead borrows from its
+            # guard, and the step stays in range iff diff + rest_top sets none
+            if r or ((key | _GUARD) - lead) & _GUARD != _GUARD or (diff + rest_top) & _GUARD:
                 remainder[key] = coeff
                 continue
-            diff = key - lead
             quotient[diff] = q
             for k2, c2 in rest:
                 target = diff + k2
-                if target & _GUARD:
-                    raise OverflowError(f"an exponent exceeds {MAX_EXPONENT}")
                 c = work.get(target, 0) - q * c2
                 if c:
                     work[target] = c

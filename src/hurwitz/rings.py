@@ -13,7 +13,10 @@ integral by construction.
 The contract also owns the O(n^2) series kernel ``convolve`` (the EGF
 product): ``int_convolve`` over Z, the same loop on integer numerators over
 a common denominator over Q (which runs ``reciprocal`` that way too), and
-term by term over Z[a1,a2,b1,b2].
+term by term over Z[a1,a2,b1,b2].  Every kernel, and the term-by-term
+``product_coefficient``, reads its binomial coefficients from one shared
+table of Pascal rows (``binomial_rows``), grown to the largest order asked
+for and never rebuilt.
 """
 
 from __future__ import annotations
@@ -47,39 +50,47 @@ def render_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def product_coefficient(f, g, n: int, ring):
-    """Coefficient n of the EGF product of coefficient lists f and g, in the
-    ring's own arithmetic."""
-    acc = ring.zero
-    for j in range(n + 1):
-        acc = acc + comb(n, j) * f[j] * g[n - j]
-    return acc
-
-
 def _numerators(coeffs) -> tuple[int, list[int]]:
     """(d, [c * d for c in coeffs]) with d the lcm of the denominators."""
     d = lcm(*[c.denominator for c in coeffs])
     return d, [c.numerator * (d // c.denominator) for c in coeffs]
 
 
-def _next_binomial_row(row: list[int]) -> list[int]:
+def _next_binomial_row(row: tuple[int, ...]) -> tuple[int, ...]:
     """C(n+1, 0..n+1) from C(n, 0..n)."""
-    return [1, *map(add, row, row[1:]), 1]
+    return (1, *map(add, row, row[1:]), 1)
+
+
+# row n is C(n, 0..n); only ever appended to
+_BINOMIAL_ROWS: list[tuple[int, ...]] = [(1,)]
+
+
+def binomial_rows(top: int) -> list[tuple[int, ...]]:
+    """The shared Pascal rows, grown by Pascal's rule to hold row ``top``:
+    entry n is the tuple C(n, 0..n).  The list is shared; do not modify it."""
+    rows = _BINOMIAL_ROWS
+    while len(rows) <= top:
+        rows.append(_next_binomial_row(rows[-1]))
+    return rows
 
 
 def int_convolve(f, g) -> list[int]:
     """(fg)_n = sum_j C(n,j) f_j g_{n-j} for equal-length int sequences f
-    and g, with the binomial rows built by Pascal's rule."""
+    and g."""
     top = len(f) - 1
+    rows = binomial_rows(top)
     g_rev = g[::-1]
-    out = []
-    row = [1]
-    for n in range(top + 1):
-        if n:
-            row = _next_binomial_row(row)
-        # g_rev[top - n:] is g_n, g_{n-1}, ..., g_0
-        out.append(sum(map(mul, row, map(mul, f, g_rev[top - n:]))))
-    return out
+    # g_rev[top - n:] is g_n, g_{n-1}, ..., g_0
+    return [sum(map(mul, rows[n], map(mul, f, g_rev[top - n:]))) for n in range(top + 1)]
+
+
+def product_coefficient(f, g, n: int, ring):
+    """Coefficient n of the EGF product of coefficient lists f and g, in the
+    ring's own arithmetic."""
+    acc = ring.zero
+    for j, c in enumerate(binomial_rows(n)[n]):
+        acc = acc + c * f[j] * g[n - j]
+    return acc
 
 
 def _as_int(value) -> int:
@@ -157,12 +168,11 @@ class RationalRing:
         c_rev = c_nums[::-1]
         g = [Fraction(d, c0)]
         den, g_nums = g[0].denominator, [g[0].numerator]
-        row = [1]
+        rows = binomial_rows(top)
         for n in range(1, top + 1):
-            row = _next_binomial_row(row)
             # the products stop at len(g_nums) = n, so j < n; c_rev[top - n:]
             # is c_n, c_{n-1}, ...
-            s = sum(map(mul, map(mul, row, g_nums), c_rev[top - n:]))
+            s = sum(map(mul, map(mul, rows[n], g_nums), c_rev[top - n:]))
             q = Fraction(-s, den * c0)
             g.append(q)
             if den % q.denominator:

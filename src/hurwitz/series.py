@@ -12,6 +12,7 @@ silently.
 from __future__ import annotations
 
 from math import factorial
+from operator import mul
 from typing import NamedTuple, Optional
 
 from .rings import QQ, product_coefficient
@@ -267,12 +268,21 @@ class EgfSeries:
         return EgfSeries(ring, (ring.zero,) + quot.coeffs)
 
     def subst_exp_minus_one(self):
-        """Compose with e^x - 1."""
-        ring = self.ring
-        em1 = EgfSeries.exp_line(ring.one, self.order, ring) - EgfSeries.one(
-            self.order, ring
-        )
-        return self.compose(em1)
+        """Compose with e^x - 1: coefficient n is sum_m S(n, m) c_m, where
+        S(n, m) are the Stirling numbers of the second kind (Comtet,
+        *Advanced Combinatorics*, section 5.1), grown row by row with
+        S(n, m) = m S(n-1, m) + S(n-1, m-1).  Each coefficient is an integer
+        combination of the c_m, so there is no division, and the result is
+        integral whenever self is.  O(N^2), against O(N^3) for ``compose``.
+        """
+        coeffs = self.coeffs
+        out = [coeffs[0]]
+        row = [1]  # S(n, 0..n), from S(0, 0) = 1
+        for n in range(1, self.order + 1):
+            # S(n, 0) = 0 for n >= 1, so c_0 only reaches the constant term
+            row = [0, *[m * row[m] + row[m - 1] for m in range(1, n)], 1]
+            out.append(sum(map(mul, row, coeffs), self.ring.zero))
+        return EgfSeries(self.ring, out)
 
     # -- integrality and rendering ----------------------------------------
 

@@ -172,8 +172,9 @@ def check_general_k_integrality(max_k: int = 6, order: int = 48) -> bool:
     """The fixed-point solution is a Hurwitz series for each k.
 
     Over ZZ this holds by construction: Phi has integer coefficients and the
-    online steps never divide.  The inverse and the substitution of e^x - 1
-    are integral because their divisions by m! and N! are exact or raise."""
+    online steps never divide.  The inverse is integral because its
+    divisions by m! are exact or raise, and the substitution of e^x - 1 is
+    an integer combination of the inverse's coefficients, with no division."""
     for k in range(1, max_k + 1):
         sol = solve_tree_series(k, order)
         if not sol.integrality_report().integral:

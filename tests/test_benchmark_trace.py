@@ -1,0 +1,30 @@
+"""A traced benchmark pass still reports every per-layer metric.
+
+The tracer in ``perfbench/`` wraps public names of ``hurwitz`` from outside,
+so a renamed or bypassed function can leave a traced pass without one of the
+layer names that ``BENCHMARK.json`` declares.  One traced ``parametric``
+pass (about half a second) runs in a fresh interpreter, as in the benchmark.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# added by perfbench/run.py from a traced and an untraced pass, not by a worker
+RUN_LEVEL = {"trace.overhead_s"}
+
+
+def test_traced_pass_reports_every_layer(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"), "--workload", "parametric",
+         "--seed", "1", "--trace", str(tmp_path / "spans.json")],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["failures"] == []
+    declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    assert declared - RUN_LEVEL <= set(result["layers"])

@@ -1,10 +1,13 @@
 import re
 from fractions import Fraction
+from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hurwitz import rings
 from hurwitz.poly import MAX_EXPONENT, VARIABLES
 from hurwitz.rings import (
     POLY,
@@ -13,6 +16,8 @@ from hurwitz.rings import (
     MultiPoly,
     NonDivisibleError,
     binomial,
+    binomial_rows,
+    product_coefficient,
     rational,
     render_rational,
 )
@@ -115,6 +120,16 @@ class TestMultiPoly:
         with pytest.raises(TypeError, match=r"Fraction\(3, 1\)"):
             POLY.coerce(Fraction(3))
         assert POLY.is_integral(3 * A1 * B2 - 17 * A2)
+
+    def test_exact_div_out_of_range_step_is_not_divisible(self):
+        # the step a1*a2^30 / a1 would need a2^130 from the a2^100 term; a
+        # multiple of the divisor never does, so it is a remainder, not an
+        # OverflowError
+        divisor = MultiPoly({(1, 0, 0, 0): 1, (0, 100, 0, 0): 1})
+        with pytest.raises(NonDivisibleError):
+            MultiPoly({(1, 30, 0, 0): 1}).exact_div(divisor)
+        s = MultiPoly({(0, 27, 0, 0): 1, (1, 0, 0, 0): 2})
+        assert (s * divisor).exact_div(divisor) == s
 
     def test_render(self):
         p = -A1 - A2 - B1 - B2
@@ -317,3 +332,75 @@ def test_exact_div_matches_reference(p, q, multiply):
 def test_render_and_evaluate_match_reference(p, v):
     assert p.render() == ref(p).render()
     assert p.evaluate(v) == ref(p).evaluate(v)
+
+
+# -- the shared Pascal table ----------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, 200), min_size=1, max_size=6))
+def test_binomial_rows_grow_in_any_order(requests):
+    # a fresh table, grown by requests in any order, shorter after longer
+    with mock.patch.object(rings, "_BINOMIAL_ROWS", [(1,)]):
+        largest = 0
+        for top in requests:
+            largest = max(largest, top)
+            assert len(binomial_rows(top)) == largest + 1
+        rows = binomial_rows(200)
+        assert len(rows) == 201
+        for n, row in enumerate(rows):
+            assert type(row) is tuple
+            assert row == tuple(comb(n, j) for j in range(n + 1))
+
+
+def test_binomial_rows_are_shared():
+    assert binomial_rows(3) is binomial_rows(10)
+    assert binomial_rows(10)[3] is binomial_rows(3)[3]
+
+
+# reference_product_coefficient is the math.comb loop that ran
+# product_coefficient before it read the shared Pascal rows; it is kept as
+# the test oracle.
+
+
+def reference_product_coefficient(f, g, n, ring):
+    acc = ring.zero
+    for j in range(n + 1):
+        acc = acc + comb(n, j) * f[j] * g[n - j]
+    return acc
+
+
+def product_case(elements, max_order=40):
+    """(f, g, n) with f and g of one length N + 1 and n <= N <= max_order."""
+    return st.integers(0, max_order).flatmap(
+        lambda top: st.tuples(
+            st.lists(elements, min_size=top + 1, max_size=top + 1),
+            st.lists(elements, min_size=top + 1, max_size=top + 1),
+            st.integers(0, top),
+        )
+    )
+
+
+@settings(max_examples=60)
+@given(product_case(st.integers(-(2**100), 2**100)))
+def test_product_coefficient_matches_comb_loop_zz(case):
+    f, g, n = case
+    got = product_coefficient(f, g, n, ZZ)
+    assert got == reference_product_coefficient(f, g, n, ZZ)
+    assert type(got) is int
+
+
+@settings(max_examples=20, deadline=None)
+@given(product_case(st.fractions(min_value=-50, max_value=50, max_denominator=60)))
+def test_product_coefficient_matches_comb_loop_qq(case):
+    f, g, n = case
+    got = product_coefficient(f, g, n, QQ)
+    assert got == reference_product_coefficient(f, g, n, QQ)
+    assert type(got) is Fraction
+
+
+@settings(max_examples=30, deadline=None)
+@given(product_case(small_polys, max_order=6))
+def test_product_coefficient_matches_comb_loop_poly(case):
+    f, g, n = case
+    assert product_coefficient(f, g, n, POLY) == reference_product_coefficient(f, g, n, POLY)

@@ -183,6 +183,15 @@ class TestSubstExpMinusOne:
         log1px = (EgfSeries.one(4) + EgfSeries.basis(1, 4)).log()
         assert log1px.subst_exp_minus_one() == EgfSeries.basis(1, 4)
 
+    @pytest.mark.parametrize("m", range(31))
+    def test_basis_gives_stirling_numbers(self, m):
+        # coefficient n of (e^x - 1)^m / m! is S(n, m), here from the
+        # explicit sum sum_j (-1)^j C(m, j) (m - j)^n / m!
+        got = EgfSeries.basis(m, 30).subst_exp_minus_one()
+        for n in range(31):
+            total = sum((-1) ** j * comb(m, j) * (m - j) ** n for j in range(m + 1))
+            assert got[n] == F(total, factorial(m))
+
 
 class TestIntegrality:
     def test_integral(self):
@@ -497,3 +506,37 @@ def test_poly_divide_raises_on_remainder():
     with pytest.raises(NonDivisibleError) as exc:
         POLY.divide(6 * a1 - 3 * b2, 2)
     assert exc.value.remainder == -3 * b2
+
+
+# -- subst_exp_minus_one against compose --------------------------------------
+#
+# subst_exp_minus_one sums Stirling numbers of the second kind; before that it
+# was compose(e^x - 1), and compose is kept as the oracle here.
+
+
+def compose_exp_minus_one(f):
+    ring = f.ring
+    return f.compose(EgfSeries.exp_line(ring.one, f.order, ring) - EgfSeries.one(f.order, ring))
+
+
+@settings(max_examples=40, deadline=None)
+@given(orders.flatmap(coefficients))
+@example([F(3)])
+@example([F(-2, 7), F(5, 3)])
+@example(MIXED_40)
+def test_qq_subst_exp_minus_one_matches_compose(c):
+    f = qs(*c)
+    got = f.subst_exp_minus_one()
+    assert got == compose_exp_minus_one(f)
+    assert all(type(x) is Fraction for x in got.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(orders.flatmap(lambda n: st.lists(st.integers(-(2**100), 2**100), min_size=n + 1, max_size=n + 1)))
+@example([7])
+@example([-3, 2**100])
+def test_zz_subst_exp_minus_one_matches_compose(c):
+    f = EgfSeries(ZZ, c)
+    got = f.subst_exp_minus_one()
+    assert got == compose_exp_minus_one(f)
+    assert all(type(x) is int for x in got.coeffs)
