@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import mul
 
 from .fixpoint import solve_tree_series
-from .rings import QQ, binomial
+from .rings import QQ, ZZ, binomial, binomial_rows
 from .series import EgfSeries, IntegralityReport, SeriesError, check_order
 
 _ONE_HALF = Fraction(1, 2)
@@ -68,30 +69,54 @@ def m_direct_values(h: int, k: int, order: int) -> list[Fraction]:
 
 
 def reduction_factor(h: int, k: int, order: int) -> EgfSeries:
-    """The Hurwitz series Q with Q * gf(1, |k|) = gf(h, k)."""
+    """The Hurwitz series Q with Q * gf(1, |k|) = gf(h, k), from its closed
+    form as a finite sum of exponentials, with no series division.
+
+    For k > 0, Q = (e^{hx} - 1)/(e^x - 1): the sum of e^{jx} over
+    j = 0..h-1 for h > 0, minus the sum over j = h..-1 for h < 0, and 0 for
+    h = 0.  For k < 0, gf(h, k) = e^{|k|x} gf(h, |k|), so every j shifts by
+    |k|.  Coefficient n is then the integer sum of +-(j + s)^n, s = |k| or 0.
+    Returned over QQ, the ring of the ``m_series`` it multiplies.
+    """
     if k == 0:
         raise SeriesError("k must be nonzero")
     check_order(order)
-    gf_hk = m_series(h, k, order + 1)
-    gf_base = m_series(1, abs(k), order + 1)
-    return gf_hk.div_by_x() * gf_base.div_by_x().reciprocal()
+    shift = -k if k < 0 else 0
+    sign = 1 if h >= 0 else -1
+    bases = [j + shift for j in range(min(h, 0), max(h, 0))]
+    powers = [1] * len(bases)  # (j + s)^0, with 0^0 = 1
+    coeffs = []
+    for _ in range(order + 1):
+        coeffs.append(sign * sum(powers))
+        powers = list(map(mul, powers, bases))
+    return EgfSeries(QQ, coeffs)
 
 
 def inverse_tree_series(k: int, order: int) -> EgfSeries:
-    """Direct expansion of k x log(1+x) / ((1+x)^k - 1).
+    """k x log(1+x) / ((1+x)^k - 1) over ZZ: the algebraic form of the
+    compositional inverse of the k-tree series.
 
-    This is the algebraic form of the compositional inverse of the k-tree
-    series; ``certify`` cross-checks it against the order-by-order inverse.
+    With d = ((1+x)^k - 1)/x, of EGF coefficients d_n = C(k, n+1) n!, the
+    series g satisfies g * d = k log(1+x), whose coefficients are
+    l_n = k (-1)^{n-1} (n-1)! for n >= 1.  Coefficient n of that product is
+    linear in g_n with slope d_0 = k, so
+    g_n = (l_n - sum_{j<n} C(n,j) g_j d_{n-j}) / k, an exact division
+    (``ZZ.divide`` raises on a remainder).  d_i vanishes for i >= k, so the
+    sum has at most k - 1 terms.  ``certify`` compares g with the
+    order-by-order inverse.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    one_plus_x = EgfSeries.one(order) + EgfSeries.basis(1, order)
-    log_series = one_plus_x.log()
-    # (1+x)^k - 1 as an EGF: coefficient n is C(k,n) * n!
-    den = EgfSeries(
-        QQ, [0] + [binomial(k, n) * factorial(n) for n in range(1, order + 2)]
-    )
-    return (log_series * den.div_by_x().reciprocal()).scale(k)
+    check_order(order)
+    rows = binomial_rows(order)
+    d = [binomial(k, i + 1) * factorial(i) for i in range(k)]
+    g = [0]
+    log_n = k  # l_1 = k
+    for n in range(1, order + 1):
+        known = sum(rows[n][i] * g[n - i] * d[i] for i in range(1, min(k, n)))
+        g.append(ZZ.divide(log_n - known, k))
+        log_n *= -n  # l_{n+1} = -n l_n
+    return EgfSeries(ZZ, g)
 
 
 def genocchi_oracle(order: int) -> EgfSeries:
@@ -164,21 +189,26 @@ def certify(h: int, k: int, order: int, inject_fault: str | None = None) -> Inte
     """Run the full integrality argument for M_n(h,k), n <= order.
 
     Steps recorded, in order:
-      1. reduction-factor: Q = gf(h,k)/gf(1,|k|) is integral.
+      1. reduction-factor: Q, built from its closed form as a finite sum of
+         exponentials, is integral.
       2. tree-series: the fixed-point solution A for |k| is integral.
-      3. comp-inverse: A's compositional inverse is integral and matches the
-         algebraic series |k| x log(1+x)/((1+x)^{|k|} - 1).
+      3. comp-inverse: A's compositional inverse is integral and equals the
+         algebraic series |k| x log(1+x)/((1+x)^{|k|} - 1), both over ZZ.
       4. subst-exp: substituting e^x - 1 into the inverse gives gf(1,|k|),
          and the result is integral.
       5. final-equality: Q * gf(1,|k|) = gf(h,k), every M_n is an integer,
          and both computation routes agree coefficient by coefficient.
 
-    Steps 2-4 run over ZZ and compare with QQ series through ``over(QQ)``.
-    A is integral by construction: Phi has integer coefficients and the
-    online steps never divide.  Step 3 is integral because its divisions by
-    m! are exact ``ZZ.divide`` calls, which raise on a remainder; step 4 is
-    integral by construction, each coefficient an integer combination
-    (Stirling numbers of the second kind) of the inverse's.
+    Step 1 is integral by construction; that Q is the quotient
+    gf(h,k)/gf(1,|k|) is checked by step 5's product, which reads
+    Q_0..Q_{N-1}, every coefficient that M_0..M_N depend on.  Steps 2-4 run
+    over ZZ; step 4 compares with the QQ series gf(1,|k|) through
+    ``over(QQ)``.  A is integral by construction: Phi has integer
+    coefficients and the online steps never divide.  Step 3 is integral
+    because its divisions by m! are exact ``ZZ.divide`` calls, which raise
+    on a remainder; step 4 is integral by construction, each coefficient an
+    integer combination (Stirling numbers of the second kind) of the
+    inverse's.
 
     ``inject_fault`` adds 1/2 to one coefficient of the named step's series,
     lifted to QQ; it exists so the refutation path is testable.
@@ -211,7 +241,7 @@ def certify(h: int, k: int, order: int, inject_fault: str | None = None) -> Inte
         CertificateStep(
             "comp-inverse",
             inv.integrality_report(),
-            equality_ok=inv.over(QQ) == inverse_tree_series(ka, order),
+            equality_ok=inv == inverse_tree_series(ka, order),
         )
     )
 

@@ -3,7 +3,9 @@
 The tracer in ``perfbench/`` wraps public names of ``hurwitz`` from outside,
 so a renamed or bypassed function can leave a traced pass without one of the
 layer names that ``BENCHMARK.json`` declares.  One traced ``parametric``
-pass (about half a second) runs in a fresh interpreter, as in the benchmark.
+and one traced ``am-grid`` pass (each under half a second) run in a fresh
+interpreter, as in the benchmark; a failed item, such as a reduction factor
+returned over the wrong ring, fails the test.
 """
 
 import json
@@ -11,15 +13,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 # added by perfbench/run.py from a traced and an untraced pass, not by a worker
 RUN_LEVEL = {"trace.overhead_s"}
 
 
-def test_traced_pass_reports_every_layer(tmp_path):
+@pytest.mark.parametrize("workload", ["parametric", "am-grid"])
+def test_traced_pass_reports_every_layer(tmp_path, workload):
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "worker.py"), "--workload", "parametric",
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"), "--workload", workload,
          "--seed", "1", "--trace", str(tmp_path / "spans.json")],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )

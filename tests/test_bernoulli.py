@@ -1,7 +1,11 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hurwitz import bernoulli, verify
 from hurwitz.bernoulli import (
     STEP_NAMES,
     bernoulli_factor,
@@ -15,10 +19,35 @@ from hurwitz.bernoulli import (
     reduction_factor,
 )
 from hurwitz.fixpoint import solve_tree_series
-from hurwitz.rings import QQ
+from hurwitz.rings import QQ, binomial
 from hurwitz.series import EgfSeries, SeriesError
 
 F = Fraction
+
+
+def reference_reduction_factor(h, k, order):
+    """Test oracle for ``reduction_factor``: Q as the QQ quotient
+    gf(h,k)/gf(1,|k|), by series division."""
+    gf_hk = m_series(h, k, order + 1)
+    gf_base = m_series(1, abs(k), order + 1)
+    return gf_hk.div_by_x() * gf_base.div_by_x().reciprocal()
+
+
+def reference_inverse_tree_series(k, order):
+    """Test oracle for ``inverse_tree_series``: k x log(1+x)/((1+x)^k - 1)
+    over QQ, as a series log times a series reciprocal."""
+    one_plus_x = EgfSeries.one(order) + EgfSeries.basis(1, order)
+    log_series = one_plus_x.log()
+    # (1+x)^k - 1 as an EGF: coefficient n is C(k,n) * n!
+    den = EgfSeries(
+        QQ, [0] + [binomial(k, n) * factorial(n) for n in range(1, order + 2)]
+    )
+    return (log_series * den.div_by_x().reciprocal()).scale(k)
+
+
+def bump(series, n):
+    """The series with 1 added to coefficient n."""
+    return series.with_coefficient(n, series[n] + 1)
 
 
 class TestBernoulli:
@@ -91,6 +120,30 @@ class TestReductionFactor:
             assert q * m_series(1, abs(k), 10) == m_series(h, k, 10)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(-20, 20),
+    st.integers(1, 12),
+    st.sampled_from((1, -1)),
+    st.integers(0, 48),
+)
+@example(0, 3, 1, 12)  # h = 0
+@example(0, 5, -1, 7)
+@example(1, 4, 1, 20)  # h = +-1
+@example(-1, 4, -1, 20)
+@example(1, 1, -1, 0)
+@example(2, 7, 1, 48)  # |h| < |k|
+@example(-3, 9, -1, 31)
+@example(20, 3, 1, 48)  # |h| > |k|
+@example(-17, 12, -1, 48)
+@example(-20, 1, 1, 5)
+def test_reduction_factor_matches_quotient(h, ka, sign, order):
+    k = sign * ka
+    q = reduction_factor(h, k, order)
+    assert q.ring is QQ
+    assert q == reference_reduction_factor(h, k, order)
+
+
 class TestGenocchiRoutes:
     def test_oracle_values(self):
         assert genocchi_oracle(8).coeffs == (0, 1, -1, 0, 1, 0, -3, 0, 17)
@@ -99,7 +152,7 @@ class TestGenocchiRoutes:
         order = 12
         a2 = solve_tree_series(2, order)
         via_inverse = a2.comp_inverse().subst_exp_minus_one().over(QQ)
-        via_algebraic = inverse_tree_series(2, order).subst_exp_minus_one()
+        via_algebraic = inverse_tree_series(2, order).subst_exp_minus_one().over(QQ)
         gf = m_series(1, 2, order)
         assert gf == via_inverse == via_algebraic == genocchi_oracle(order)
 
@@ -108,12 +161,19 @@ class TestInverseTreeSeries:
     def test_matches_comp_inverse(self):
         for k in (1, 2, 3, 4):
             direct = inverse_tree_series(k, 12)
-            assert direct == solve_tree_series(k, 12).comp_inverse().over(QQ)
+            assert direct == solve_tree_series(k, 12).comp_inverse()
             assert direct.integrality_report().integral
 
     def test_k1_is_log(self):
         one_plus_x = EgfSeries.one(8) + EgfSeries.basis(1, 8)
-        assert inverse_tree_series(1, 8) == one_plus_x.log()
+        assert inverse_tree_series(1, 8).over(QQ) == one_plus_x.log()
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_inverse_tree_series_matches_log_form(k):
+    oracle = reference_inverse_tree_series(k, 64)
+    for n in range(65):
+        assert inverse_tree_series(k, n).over(QQ) == oracle.truncate(n)
 
 
 def test_shift_symmetry():
@@ -169,6 +229,41 @@ def test_fault_injection_refutes_at_each_step(step):
     assert not cert.valid
     assert cert.failing_step == step
     assert cert.render().endswith("REFUTED")
+
+
+def wrong_reduction_factor(h, k, n):
+    # Q_{N-1} is the last coefficient a product with gf(1,|k|) reads; the
+    # wrong Q is still integral, so only that product can refute it
+    return bump(reduction_factor(h, k, n), n - 1)
+
+
+def test_wrong_integral_reduction_factor_is_refuted(monkeypatch):
+    monkeypatch.setattr(bernoulli, "reduction_factor", wrong_reduction_factor)
+    cert = certify(7, -3, 12)
+    assert not cert.valid
+    assert cert.failing_step == "final-equality"
+    assert cert.render().endswith("REFUTED")
+
+
+def wrong_direct_values(h, k, n):
+    values = m_direct_values(h, k, n)
+    values[-1] += 1
+    return values
+
+
+@pytest.mark.parametrize(
+    "module, route, wrong",
+    [
+        (bernoulli, "reduction_factor", wrong_reduction_factor),
+        (verify, "solve_tree_series", lambda k, n: bump(solve_tree_series(k, n), n)),
+        (bernoulli, "m_direct_values", wrong_direct_values),
+    ],
+    ids=["reduction_factor", "solve_tree_series", "m_direct_values"],
+)
+def test_theorem_sweep_refutes_a_wrong_route(monkeypatch, module, route, wrong):
+    assert verify.check_theorem_sweep(2, 8)
+    monkeypatch.setattr(module, route, wrong)
+    assert not verify.check_theorem_sweep(2, 8)
 
 
 @pytest.mark.parametrize(
