@@ -1,9 +1,13 @@
 """Bernoulli polynomials, Almkvist-Meurman numbers, and the proof pipeline.
 
 The numbers M_n(h,k) = k^n (B_n(h/k) - B_n) are computed by two independent
-routes: directly from Bernoulli polynomial values, and as EGF coefficients of
-k x (e^{hx} - 1)/(e^{kx} - 1).  ``certify`` runs the integrality argument end
-to end and records every step in a machine-checkable certificate.
+routes, both on integer sequences: ``m_direct_values`` from the Bernoulli
+numbers, M_n = sum_{m<n} C(n,m) (k^m B_m) h^{n-m}, one integer convolution
+over their common denominator; and ``m_series`` as the EGF coefficients of
+k x (e^{hx} - 1)/(e^{kx} - 1), one ``QQ.quotient`` of the integers k h^n
+(n >= 1) by (e^{kx} - 1)/x = [k^{n+1}/(n+1)].  Neither assumes the result
+is integral.  ``certify`` runs the integrality argument end to end and
+records every step in a machine-checkable certificate.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from math import factorial
 from operator import mul
 
 from .fixpoint import solve_tree_series
-from .rings import QQ, ZZ, binomial, binomial_rows
+from .rings import QQ, ZZ, binomial, binomial_rows, int_convolve, numerators
 from .series import EgfSeries, IntegralityReport, SeriesError, check_order
 
 _ONE_HALF = Fraction(1, 2)
@@ -23,49 +27,59 @@ _ONE_HALF = Fraction(1, 2)
 
 @lru_cache(maxsize=None)
 def bernoulli_factor(order: int) -> EgfSeries:
-    """x/(e^x - 1) as an EGF; its coefficients are the Bernoulli numbers."""
+    """x/(e^x - 1) as an EGF; its coefficients are the Bernoulli numbers.
+
+    One series division: the reciprocal of (e^x - 1)/x, whose EGF
+    coefficients are 1/(n+1).
+    """
     check_order(order)
-    em1 = EgfSeries.exp_line(1, order + 1) - EgfSeries.one(order + 1)
-    return em1.div_by_x().reciprocal()
-
-
-def bernoulli_poly_series(q, order: int) -> EgfSeries:
-    """x e^{qx}/(e^x - 1): coefficient n is the Bernoulli polynomial B_n(q)."""
-    return EgfSeries.exp_line(q, order) * bernoulli_factor(order)
+    em1_over_x = EgfSeries(QQ, [Fraction(1, n + 1) for n in range(order + 1)])
+    return em1_over_x.reciprocal()
 
 
 def bernoulli_poly_at(n: int, q) -> Fraction:
-    """B_n(q) for an exact rational q."""
-    return bernoulli_poly_series(Fraction(q), n)[n]
+    """B_n(q) for an exact rational q: coefficient n of x e^{qx}/(e^x - 1)."""
+    return (EgfSeries.exp_line(Fraction(q), n) * bernoulli_factor(n))[n]
 
 
 def m_series(h: int, k: int, order: int) -> EgfSeries:
     """k x (e^{hx} - 1)/(e^{kx} - 1); coefficient n is M_n(h, k).
 
-    Valid for any nonzero integer k: after one division by x the denominator
-    has constant term k, a unit.
+    One ``QQ.quotient`` of k (e^{hx} - 1), the integers [0, k h, k h^2, ...],
+    by (e^{kx} - 1)/x, whose EGF coefficients are k^{n+1}/(n+1).  Valid for
+    any nonzero integer k: that divisor has constant term k, a unit.
     """
     if k == 0:
         raise SeriesError("k must be nonzero")
-    num = EgfSeries.exp_line(h, order) - EgfSeries.one(order)
-    den = EgfSeries.exp_line(k, order + 1) - EgfSeries.one(order + 1)
-    return (num * den.div_by_x().reciprocal()).scale(k)
+    check_order(order)
+    num = [0] + [k * h**n for n in range(1, order + 1)]
+    den = [Fraction(k ** (n + 1), n + 1) for n in range(order + 1)]
+    return EgfSeries(QQ, QQ.quotient(num, den))
 
 
 def m_direct(n: int, h: int, k: int) -> Fraction:
     """M_n(h,k) = k^n (B_n(h/k) - B_n), computed without any series division."""
-    if k == 0:
-        raise SeriesError("k must be nonzero")
-    return k**n * (bernoulli_poly_at(n, Fraction(h, k)) - bernoulli_factor(n)[n])
+    return m_direct_values(h, k, n)[n]
 
 
 def m_direct_values(h: int, k: int, order: int) -> list[Fraction]:
-    """[M_0(h,k), ..., M_order(h,k)] from a single Bernoulli-polynomial product."""
+    """[M_0(h,k), ..., M_order(h,k)] from the Bernoulli numbers, with no
+    series division.
+
+    Expanding B_n(h/k) = sum_m C(n,m) B_m (h/k)^{n-m} and dropping the term
+    m = n, which is B_n, gives
+    M_n = k^n (B_n(h/k) - B_n) = sum_{m<n} C(n,m) (k^m B_m) h^{n-m}:
+    one ``int_convolve`` of [0, h, h^2, ...] against k^m b_m, where
+    B_m = b_m / d over the common denominator d of the cached
+    ``bernoulli_factor``, and one division by d per coefficient.
+    """
     if k == 0:
         raise SeriesError("k must be nonzero")
-    poly = bernoulli_poly_series(Fraction(h, k), order)
-    numbers = bernoulli_factor(order)
-    return [k**n * (poly[n] - numbers[n]) for n in range(order + 1)]
+    check_order(order)
+    d, b = numerators(bernoulli_factor(order).coeffs)
+    kb = [b_m * k**m for m, b_m in enumerate(b)]
+    h_powers = [0] + [h**n for n in range(1, order + 1)]
+    return [Fraction(s, d) for s in int_convolve(h_powers, kb)]
 
 
 def reduction_factor(h: int, k: int, order: int) -> EgfSeries:
@@ -120,13 +134,13 @@ def inverse_tree_series(k: int, order: int) -> EgfSeries:
 
 
 def genocchi_oracle(order: int) -> EgfSeries:
-    """Genocchi numbers as 2x/(e^x + 1), by direct triangular division.
+    """Genocchi numbers as 2x/(e^x + 1), by one series division.
 
     Independent of ``m_series``'s route (which divides by (e^{kx}-1)/x), so
     the two may check each other.
     """
     den = EgfSeries.exp_line(1, order) + EgfSeries.one(order)
-    return (EgfSeries.basis(1, order) * den.reciprocal()).scale(2)
+    return EgfSeries.basis(1, order).scale(2) / den
 
 
 STEP_NAMES = (

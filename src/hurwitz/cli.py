@@ -28,7 +28,8 @@ class CliError(Exception):
 
 
 def _order_at_least(minimum: int):
-    """argparse type for --order: an integer no smaller than ``minimum``."""
+    """argparse type for --order (and compute's --inject-fault): an integer
+    no smaller than ``minimum``."""
 
     def parse(text: str) -> int:
         try:
@@ -179,7 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=_order_at_least(0), required=True)
     p.add_argument("--format", choices=("tsv", "csv"), default="tsv")
     p.add_argument("--route", choices=("gf", "direct", "both"), default="gf")
-    p.add_argument("--inject-fault", type=int, metavar="N", help=argparse.SUPPRESS)
+    # a negative N would index the coefficients from the end
+    p.add_argument(
+        "--inject-fault", type=_order_at_least(0), metavar="N", help=argparse.SUPPRESS
+    )
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("certify", help="run the integrality proof pipeline")

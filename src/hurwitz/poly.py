@@ -12,6 +12,8 @@ order a1 > a2 > b1 > b2.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 VARIABLES = ("a1", "a2", "b1", "b2")
 
@@ -44,6 +46,11 @@ def _pack(exps) -> int:
 
 def _unpack(key: int) -> tuple[int, ...]:
     return tuple((key >> s) & _FIELD for s in _SHIFTS)
+
+
+def _degrees(terms: dict) -> tuple[int, ...]:
+    """The largest exponent of each variable over the (nonempty) keys."""
+    return tuple(max((key >> s) & _FIELD for key in terms) for s in _SHIFTS)
 
 
 def _poly(terms: dict) -> "MultiPoly":
@@ -172,9 +179,12 @@ class MultiPoly:
         whose monomial or coefficient the divisor's leading term does not
         divide goes to the remainder, and a nonzero remainder is always an
         error, never truncated away.  So does a term whose quotient step
-        would push an exponent past ``MAX_EXPONENT``: a multiple s * divisor
-        has deg_v(s) + deg_v(divisor) = deg_v(self) in each variable v, so
-        exact division never needs such a step.  The divisor may be an int.
+        would exceed deg_v(self) - deg_v(divisor) (or a bound above it) in
+        some variable v: a multiple s * divisor has deg_v(s) = deg_v(self) -
+        deg_v(divisor), and division by one polynomial is unique, so exact
+        division never needs such a step.  That bound also keeps every
+        exponent in range, and stops a non-multiple of high degree early.
+        The divisor may be an int.
         """
         d_terms = as_poly(divisor)._terms
         if not d_terms:
@@ -182,8 +192,15 @@ class MultiPoly:
         lead = max(d_terms)
         lead_coeff = d_terms[lead]
         rest = [(k, c) for k, c in d_terms.items() if k != lead]
-        # each field of rest_top is that exponent's maximum over rest
-        rest_top = _pack(map(max, zip((0,) * 4, *(_unpack(k) for k, _ in rest))))
+        # field v of top bounds the quotient's exponent of v: field v of the
+        # OR of self's keys is at least deg_v(self), and cheaper to find.  A
+        # one-term divisor adds no terms to the work, so it needs no bound.
+        top = (MAX_EXPONENT,) * 4
+        if rest and self._terms:
+            top = [a - b for a, b in zip(_unpack(reduce(or_, self._terms)), _degrees(d_terms))]
+            if min(top) < 0:
+                raise NonDivisibleError(self)
+        top = _pack(top) | _GUARD
         quotient, remainder = {}, {}
         work = self._terms.copy()
         while work:
@@ -192,8 +209,9 @@ class MultiPoly:
             q, r = divmod(coeff, lead_coeff)
             diff = key - lead
             # the monomial divides iff no field of key - lead borrows from its
-            # guard, and the step stays in range iff diff + rest_top sets none
-            if r or ((key | _GUARD) - lead) & _GUARD != _GUARD or (diff + rest_top) & _GUARD:
+            # guard, and the step is within the degree bound iff no field of
+            # top - diff does
+            if r or ((key | _GUARD) - lead) & _GUARD != _GUARD or (top - diff) & _GUARD != _GUARD:
                 remainder[key] = coeff
                 continue
             quotient[diff] = q

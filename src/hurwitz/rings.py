@@ -5,15 +5,17 @@ Three coefficient rings are provided behind a common contract: Q
 (``RationalRing``), Z (``IntegerRing``, Python ints) and Z[a1,a2,b1,b2]
 (``PolyRing``, sparse polynomials with integer coefficients from
 :mod:`hurwitz.poly`).  The series engine in :mod:`hurwitz.series` is generic
-over all three, except the reciprocal and log, which only ``RationalRing``
-supports.  Over Z and Z[a1,a2,b1,b2] ``divide`` is exact and raises
-``NonDivisibleError`` on a remainder, so a Hurwitz series computed there is
-integral by construction.
+over all three, except series division (and so the reciprocal and log),
+whose kernel ``quotient`` only ``RationalRing`` provides.  Over Z and
+Z[a1,a2,b1,b2] ``divide`` is exact and raises ``NonDivisibleError`` on a
+remainder, so a Hurwitz series computed there is integral by construction.
 
 The contract also owns the O(n^2) series kernel ``convolve`` (the EGF
 product): ``int_convolve`` over Z, the same loop on integer numerators over
-a common denominator over Q (which runs ``reciprocal`` that way too), and
-term by term over Z[a1,a2,b1,b2].  Every kernel, and the term-by-term
+a common denominator over Q, and term by term over Z[a1,a2,b1,b2].  Over Q,
+``quotient`` (g with c * g = b) runs the triangular back-substitution the
+same way: integer numerators, a running common denominator, one Fraction
+per output coefficient.  Every kernel, and the term-by-term
 ``product_coefficient``, reads its binomial coefficients from one shared
 table of Pascal rows (``binomial_rows``), grown to the largest order asked
 for and never rebuilt.
@@ -50,7 +52,7 @@ def render_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _numerators(coeffs) -> tuple[int, list[int]]:
+def numerators(coeffs) -> tuple[int, list[int]]:
     """(d, [c * d for c in coeffs]) with d the lcm of the denominators."""
     d = lcm(*[c.denominator for c in coeffs])
     return d, [c.numerator * (d // c.denominator) for c in coeffs]
@@ -148,32 +150,34 @@ class RationalRing:
         denominator; ``int_convolve`` runs the sums, and one Fraction is
         built per output coefficient.
         """
-        df, f_nums = _numerators(f)
-        dg, g_nums = _numerators(g)
+        df, f_nums = numerators(f)
+        dg, g_nums = numerators(g)
         d = df * dg
         return [Fraction(s, d) for s in int_convolve(f_nums, g_nums)]
 
-    def reciprocal(self, c) -> list[Fraction]:
-        """g with c * g = 1: g_n = -(1/c_0) sum_{j<n} C(n,j) g_j c_{n-j}.
+    def quotient(self, b, c) -> list[Fraction]:
+        """g with c * g = b for equal-length b and c:
+        g_n = (b_n - sum_{j<n} C(n,j) g_j c_{n-j}) / c_0.
 
-        c is scaled once to integer numerators C over its lcm denominator D,
+        b and c are scaled once to integer numerators B over E and C over D,
         and the known g_0..g_{n-1} are kept as integer numerators G over
-        their lcm denominator L, so g_n = -sum_j C(n,j) G_j C_{n-j} / (L C_0)
+        their lcm denominator L, so
+        g_n = (D L B_n - E sum_{j<n} C(n,j) G_j C_{n-j}) / (E L C_0)
         is one Fraction per coefficient, on integers the size of the
         result's.  Raises ZeroDivisionError if c_0 = 0.
         """
-        d, c_nums = _numerators(c)
+        e, b_nums = numerators(b)
+        d, c_nums = numerators(c)
         top = len(c_nums) - 1
-        c0 = c_nums[0]
+        e_c0 = e * c_nums[0]
         c_rev = c_nums[::-1]
-        g = [Fraction(d, c0)]
-        den, g_nums = g[0].denominator, [g[0].numerator]
         rows = binomial_rows(top)
-        for n in range(1, top + 1):
+        g, g_nums, den = [], [], 1
+        for n, b_n in enumerate(b_nums):
             # the products stop at len(g_nums) = n, so j < n; c_rev[top - n:]
             # is c_n, c_{n-1}, ...
             s = sum(map(mul, map(mul, rows[n], g_nums), c_rev[top - n:]))
-            q = Fraction(-s, den * c0)
+            q = Fraction(d * den * b_n - e * s, den * e_c0)
             g.append(q)
             if den % q.denominator:
                 scale = lcm(den, q.denominator) // den

@@ -159,15 +159,19 @@ class EgfSeries:
         self._check(other)
         return EgfSeries(self.ring, self.ring.convolve(self.coeffs, other.coeffs))
 
-    def reciprocal(self):
-        """g with self * g = 1, by triangular back-substitution in the
-        coefficient ring's ``reciprocal``, which only QQ provides: over Z
-        and Z[a1,a2,b1,b2] it raises SeriesError."""
-        if not hasattr(self.ring, "reciprocal"):
+    def __truediv__(self, other):
+        """g with other * g = self, by the coefficient ring's ``quotient``,
+        which only QQ provides: over Z and Z[a1,a2,b1,b2] it raises."""
+        self._check(other)
+        if not hasattr(self.ring, "quotient"):
             raise SeriesError(f"no series reciprocal over {self.ring.name}")
-        if not self.ring.is_unit(self.coeffs[0]):
+        if not self.ring.is_unit(other.coeffs[0]):
             raise SeriesError("constant term is not a unit")
-        return EgfSeries(self.ring, self.ring.reciprocal(self.coeffs))
+        return EgfSeries(self.ring, self.ring.quotient(self.coeffs, other.coeffs))
+
+    def reciprocal(self):
+        """g with self * g = 1: the series division 1 / self."""
+        return EgfSeries.one(self.order, self.ring) / self
 
     def div_by_x(self):
         """f/x for f with zero constant term: order drops by one and
@@ -263,8 +267,7 @@ class EgfSeries:
             raise SeriesError("log requires constant term 1")
         if self.order == 0:
             return EgfSeries.zero(0, ring)
-        deriv = EgfSeries(ring, self.coeffs[1:])
-        quot = deriv * self.truncate(self.order - 1).reciprocal()
+        quot = EgfSeries(ring, self.coeffs[1:]) / self.truncate(self.order - 1)
         return EgfSeries(ring, (ring.zero,) + quot.coeffs)
 
     def subst_exp_minus_one(self):

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -45,6 +45,50 @@ def reference_inverse_tree_series(k, order):
     return (log_series * den.div_by_x().reciprocal()).scale(k)
 
 
+def reference_m_series(h, k, order):
+    """Test oracle for ``m_series``: the Fraction series chain that computed
+    it before the one integer quotient, k x (e^{hx} - 1)/(e^{kx} - 1) as a
+    product with a series reciprocal."""
+    num = EgfSeries.exp_line(h, order) - EgfSeries.one(order)
+    den = EgfSeries.exp_line(k, order + 1) - EgfSeries.one(order + 1)
+    return (num * den.div_by_x().reciprocal()).scale(k)
+
+
+def reference_m_direct_values(h, k, order):
+    """Test oracle for ``m_direct_values``: the Fraction chain that computed
+    it before the one integer convolution, k^n (B_n(h/k) - B_n) read off the
+    Bernoulli polynomial series x e^{(h/k)x}/(e^x - 1)."""
+    poly = EgfSeries.exp_line(F(h, k), order) * bernoulli_factor(order)
+    numbers = bernoulli_factor(order)
+    return [k**n * (poly[n] - numbers[n]) for n in range(order + 1)]
+
+
+def tangent_numbers(count):
+    """T_1..T_count, the odd derivatives of tan at 0 (1, 2, 16, 272, ...),
+    in integers only: Brent and Harvey's in-place recurrence ("Fast
+    computation of Bernoulli, tangent and secant numbers", 2011, Algorithm
+    TangentNumbers)."""
+    t = [0] + [1] * count
+    for m in range(2, count + 1):
+        t[m] = (m - 1) * t[m - 1]
+    for m in range(2, count + 1):
+        for j in range(m, count + 1):
+            t[j] = (j - m) * t[j - 1] + (j - m + 2) * t[j]
+    return t[1:]
+
+
+def bernoulli_oracle(order):
+    """Test oracle for ``bernoulli_factor``: B_0..B_order from the tangent
+    numbers, B_{2m} = (-1)^{m-1} 2m T_m / (4^m (4^m - 1)), with B_1 = -1/2
+    and the other odd B_n zero.  No series arithmetic; every step before the
+    final Fraction is an integer one."""
+    t = tangent_numbers(order // 2)
+    values = [F(1), F(-1, 2)] + [F(0)] * (order - 1)
+    for m in range(1, order // 2 + 1):
+        values[2 * m] = F((-1) ** (m - 1) * 2 * m * t[m - 1], 4**m * (4**m - 1))
+    return values[: order + 1]
+
+
 def bump(series, n):
     """The series with 1 added to coefficient n."""
     return series.with_coefficient(n, series[n] + 1)
@@ -65,6 +109,31 @@ class TestBernoulli:
     def test_poly_at_zero_is_number(self):
         b = bernoulli_factor(12)
         assert all(bernoulli_poly_at(n, 0) == b[n] for n in range(13))
+
+
+def test_tangent_numbers_published():
+    # OEIS A000182
+    assert tangent_numbers(8) == [1, 2, 16, 272, 7936, 353792, 22368256, 1903757312]
+
+
+def test_bernoulli_factor_matches_tangent_oracle():
+    oracle = bernoulli_oracle(64)
+    assert oracle[:13] == [1, F(-1, 2), F(1, 6), 0, F(-1, 30), 0, F(1, 42), 0,
+                           F(-1, 30), 0, F(5, 66), 0, F(-691, 2730)]
+    assert bernoulli_factor(64).coeffs == tuple(oracle)
+    for order in (0, 1, 2, 17, 40):
+        assert bernoulli_factor(order).coeffs == tuple(oracle[: order + 1])
+
+
+def test_von_staudt_clausen():
+    # B_{2m} + sum of 1/p over the primes p with (p - 1) | 2m is an integer,
+    # so the denominator of B_{2m} is the product of those primes
+    b = bernoulli_factor(64)
+    for n in range(2, 65, 2):
+        primes = [p for p in range(2, n + 2) if n % (p - 1) == 0
+                  and all(p % q for q in range(2, p))]
+        assert (b[n] + sum(F(1, p) for p in primes)).denominator == 1
+        assert b[n].denominator == prod(primes)
 
 
 class TestMSeries:
@@ -142,6 +211,30 @@ def test_reduction_factor_matches_quotient(h, ka, sign, order):
     q = reduction_factor(h, k, order)
     assert q.ring is QQ
     assert q == reference_reduction_factor(h, k, order)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(-20, 20),
+    st.integers(1, 12),
+    st.sampled_from((1, -1)),
+    st.integers(0, 48),
+)
+@example(0, 3, 1, 12)  # h = 0
+@example(1, 1, 1, 0)  # order 0
+@example(-1, 4, -1, 1)
+@example(2, 7, 1, 48)  # |h| < |k|, non-integral B_n (h/k)
+@example(20, 12, -1, 48)
+@example(-20, 1, 1, 48)
+@example(-17, 12, -1, 48)
+def test_m_routes_match_fraction_chains(h, ka, sign, order):
+    k = sign * ka
+    gf = m_series(h, k, order)
+    assert gf.ring is QQ
+    assert gf == reference_m_series(h, k, order)
+    direct = m_direct_values(h, k, order)
+    assert all(type(c) is Fraction for c in direct)
+    assert direct == reference_m_direct_values(h, k, order)
 
 
 class TestGenocchiRoutes:

@@ -51,6 +51,22 @@ class TestCompute:
         )
         assert code == 1
 
+    def test_negative_injected_fault_is_a_usage_error(self, capsys):
+        # -2 used to corrupt coefficient order - 1 through a negative index
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--h", "1", "--k", "2", "--order", "4",
+                  "--route", "both", "--inject-fault", "-2"])
+        assert exc.value.code == 2
+        assert "argument --inject-fault: must be >= 0, got -2" in capsys.readouterr().err
+
+    def test_injected_fault_at_zero_is_detected(self, capsys):
+        code, out = run(
+            capsys, "compute", "--h", "1", "--k", "2", "--order", "4",
+            "--route", "both", "--inject-fault", "0",
+        )
+        assert code == 1
+        assert out.splitlines()[0] == "0\t1\t0"
+
     def test_determinism(self, capsys):
         _, first = run(capsys, "compute", "--h", "5", "--k", "3", "--order", "12")
         _, second = run(capsys, "compute", "--h", "5", "--k", "3", "--order", "12")

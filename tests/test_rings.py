@@ -131,6 +131,22 @@ class TestMultiPoly:
         s = MultiPoly({(0, 27, 0, 0): 1, (1, 0, 0, 0): 2})
         assert (s * divisor).exact_div(divisor) == s
 
+    def test_exact_div_stops_at_the_degree_bound(self):
+        # a multiple of the divisor has degree >= 1 in b2; a1^61 has none, so
+        # it is a remainder at once, not after expanding thousands of terms
+        divisor = MultiPoly({(3, 0, 0, 0): 1, (2, 0, 0, 1): 1, (0, 0, 1, 0): 1, (0, 0, 0, 0): 1})
+        a1_61 = MultiPoly({(61, 0, 0, 0): 1})
+        with pytest.raises(NonDivisibleError) as exc:
+            a1_61.exact_div(divisor)
+        assert exc.value.remainder == a1_61
+        s = MultiPoly({(58, 0, 0, 0): 1, (0, 3, 0, 1): -2})
+        assert (s * divisor).exact_div(divisor) == s
+        # a step past deg_a2 = 1 of the quotient is a remainder too
+        with pytest.raises(NonDivisibleError):
+            MultiPoly({(63, 2, 0, 0): 1, (0, 0, 0, 0): 1}).exact_div(
+                MultiPoly({(3, 0, 0, 0): 1, (2, 1, 0, 0): 1})
+            )
+
     def test_render(self):
         p = -A1 - A2 - B1 - B2
         assert p.render() == "-a1 - a2 - b1 - b2"
@@ -218,18 +234,28 @@ class ReferencePoly:
         return total
 
     def exact_div(self, divisor):
-        """The lex-order division over the rationals; None on a remainder."""
+        """The lex-order division over the rationals; None on a remainder.
+
+        Division by one polynomial is unique, so when self = s * divisor the
+        quotient terms are the terms of s, and deg_v(s) = deg_v(self) -
+        deg_v(divisor) in each variable v.  The first remainder term, or the
+        first quotient term past that degree, decides None without running
+        the rest of the division (which, on a high-degree non-multiple, can
+        take seconds)."""
         d_exps = max(divisor.terms)
         d_coeff = divisor.terms[d_exps]
-        quotient, remainder = {}, {}
+        top = [
+            max((e[v] for e in self.terms), default=0) - max(e[v] for e in divisor.terms)
+            for v in range(len(d_exps))
+        ]
+        quotient = {}
         work = dict(self.terms)
         while work:
             exps = max(work)
             coeff = work.pop(exps)
             diff = tuple(a - b for a, b in zip(exps, d_exps))
-            if any(e < 0 for e in diff):
-                remainder[exps] = coeff
-                continue
+            if any(e < 0 or e > t for e, t in zip(diff, top)):
+                return None
             q = coeff / d_coeff
             quotient[diff] = quotient.get(diff, Fraction(0)) + q
             for e2, c2 in divisor.terms.items():
@@ -241,7 +267,7 @@ class ReferencePoly:
                     work.pop(tgt, None)
                 else:
                     work[tgt] = new
-        return None if remainder else ReferencePoly(quotient)
+        return ReferencePoly(quotient)
 
     def render(self):
         if not self.terms:

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hurwitz.parametric import parametric_inverse_series, solve_parametric_f
@@ -284,8 +284,10 @@ def test_hurwitz_closure_inverse(g):
 # -- QQ kernels against the Fraction loops ------------------------------------
 #
 # reference_convolve and reference_reciprocal are the Fraction loops that ran
-# EgfSeries.__mul__ and EgfSeries.reciprocal before QQ.convolve and
-# QQ.reciprocal moved to integer numerators; they are kept as the test oracle.
+# EgfSeries.__mul__ and EgfSeries.reciprocal before QQ.convolve and the
+# triangular division moved to integer numerators; they are kept as the test
+# oracle.  QQ.quotient(b, c), the one division kernel, is checked against the
+# reciprocal-then-product reference_convolve(b, reference_reciprocal(c)).
 
 
 def reference_convolve(f, g):
@@ -349,18 +351,39 @@ def test_qq_convolve_matches_fraction_loop(pair):
 def test_qq_reciprocal_matches_fraction_loop(c, c0):
     # negative and non-unit constant terms come from c0
     c = [c0] + c[1:]
-    assert_exactly_equal(QQ.reciprocal(c), reference_reciprocal(c))
+    one = [F(1)] + [F(0)] * (len(c) - 1)
+    assert_exactly_equal(QQ.quotient(one, c), reference_reciprocal(c))
     assert qs(*c).reciprocal().coeffs == tuple(reference_reciprocal(c))
 
 
+@settings(max_examples=60)
+@given(
+    orders.flatmap(lambda n: st.tuples(coefficients(n), coefficients(n))),
+    nonzero_rationals.filter(lambda q: abs(q) != 1),
+)
+@example(([F(3)], [F(-2, 7)]), F(-2, 7))
+@example((MIXED_40[::-1], MIXED_40), F(-6, 5))
+def test_qq_quotient_matches_reciprocal_then_product(pair, c0):
+    b, c = pair
+    # c_0 is not a unit of Z, so the quotient is not integral in general
+    c = [c0] + c[1:]
+    expected = reference_convolve(b, reference_reciprocal(c))
+    assume(any(g.denominator != 1 for g in expected))
+    assert_exactly_equal(QQ.quotient(b, c), expected)
+    assert (qs(*b) / qs(*c)).coeffs == tuple(expected)
+
+
 @settings(max_examples=30)
-@given(orders.flatmap(coefficients))
-def test_qq_reciprocal_zero_constant_raises(c):
+@given(orders.flatmap(lambda n: st.tuples(coefficients(n), coefficients(n))))
+def test_qq_reciprocal_zero_constant_raises(pair):
+    b, c = pair
     c = [F(0)] + c[1:]
     with pytest.raises(ZeroDivisionError):
-        QQ.reciprocal(c)
+        QQ.quotient(b, c)
     with pytest.raises(SeriesError, match="not a unit"):
         qs(*c).reciprocal()
+    with pytest.raises(SeriesError, match="not a unit"):
+        qs(*b) / qs(*c)
 
 
 # -- ZZ kernels against the QQ ones -----------------------------------------
