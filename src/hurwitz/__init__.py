@@ -29,14 +29,13 @@ from .fixpoint import (
 )
 from .rings import POLY, QQ, ZZ, MultiPoly, NonDivisibleError, binomial, rational
 from .series import EgfSeries, IntegralityReport, SeriesError
-from .trees import LabeledTree, count_alternating_trees, is_alternating, prufer_decode
+from .trees import count_alternating_trees
 
 __all__ = [
     "BFileEntry",
     "EgfSeries",
     "IntegralityCertificate",
     "IntegralityReport",
-    "LabeledTree",
     "MultiPoly",
     "NonDivisibleError",
     "PhiSpec",
@@ -52,13 +51,11 @@ __all__ = [
     "count_alternating_trees",
     "genocchi_oracle",
     "inverse_tree_series",
-    "is_alternating",
     "m_direct",
     "m_direct_values",
     "m_series",
     "parse_bfile",
     "pk_of_series",
-    "prufer_decode",
     "rational",
     "reduction_factor",
     "solve_fixed_point",

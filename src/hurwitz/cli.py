@@ -85,8 +85,8 @@ def cmd_trees(args) -> int:
         raise CliError("k must be a positive integer", USAGE_ERROR)
     if args.oracle and args.k != 2:
         raise CliError("--oracle is only available for k=2", USAGE_ERROR)
-    if args.oracle and args.order > 8:
-        raise CliError("--oracle enumeration is capped at order 8", USAGE_ERROR)
+    if args.oracle and args.order > 12:
+        raise CliError("--oracle is capped at order 12", USAGE_ERROR)
     a = solve_tree_series(args.k, args.order)
     mismatch = False
     for n in range(1, args.order + 1):

@@ -62,8 +62,9 @@ def check_genocchi_tri_route(order: int = 16) -> bool:
     return gf == via_inverse == via_algebraic == oracle
 
 
-def check_tree_oracle(max_n: int = 7) -> bool:
-    """a_n of the k=2 fixed point counts alternating trees on n+1 vertices."""
+def check_tree_oracle(max_n: int = 12) -> bool:
+    """a_n of the k=2 fixed point counts alternating trees on n+1 vertices,
+    counted by the matrix-tree theorem."""
     a = solve_tree_series(2, max_n)
     return all(
         a[n] == trees.count_alternating_trees(n + 1) for n in range(1, max_n + 1)
@@ -171,23 +172,23 @@ def check_hurwitz_closure(instances: int = 200, order: int = 12, seed: int = 202
 
 
 def check_postnikov_forms(order: int = 16) -> bool:
-    """The k=2 solution satisfies all three equivalent functional forms."""
-    a = solve_tree_series(2, order)
-    return verify_postnikov_form(a) and verify_exp_form(a, 2)
+    """The k=2 solution satisfies Postnikov's form 1 + A = e^{(x/2)(2+A)}.
+    The two exp forms are checked for every k by general-k-integrality."""
+    return verify_postnikov_form(solve_tree_series(2, order))
 
 
 def check_general_k_integrality(max_k: int = 6, order: int = 48) -> bool:
-    """The fixed-point solution is a Hurwitz series for each k.
+    """The integer k-tree series solves the paper's equation
+    (1+A)^k = e^{x p_k(A)}, and B = 1+A solves B = e^{x(1+B+...+B^{k-1})/k},
+    for each k <= max_k.
 
-    Over ZZ this holds by construction: Phi has integer coefficients and the
-    online steps never divide.  The inverse is integral because its
-    divisions by m! are exact or raise, and the substitution of e^x - 1 is
-    an integer combination of the inverse's coefficients, with no division."""
-    for k in range(1, max_k + 1):
-        sol = solve_tree_series(k, order)
-        if not sol.integrality_report().integral:
-            return False
-    return True
+    Over ZZ the series is a Hurwitz series by construction: Phi has integer
+    coefficients and the online steps never divide.  What this checks is
+    that the integral series is the solution, through ``exp`` rather than
+    Phi's sum of powers."""
+    return all(
+        verify_exp_form(solve_tree_series(k, order), k) for k in range(1, max_k + 1)
+    )
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ def test_check(name, check):
 
 def test_criterion_3_tree_oracle():
     # the alternating-tree numbers of OEIS A007889; the tree-oracle check
-    # ties the same series to the brute-force Prufer counts
+    # ties the same series to the matrix-tree counts up to 13 vertices
     a = solve_tree_series(2, 7)
     assert [a[n] for n in range(1, 8)] == [1, 2, 7, 36, 246, 2104, 21652]
     print("ACCEPTANCE  criterion-3 tree-oracle: PASS")

@@ -114,6 +114,17 @@ class TestTrees:
             _, series, count = line.split("\t")
             assert series == count
 
+    def test_oracle_past_order_8(self, capsys):
+        code, out = run(capsys, "trees", "--k", "2", "--order", "9", "--oracle")
+        assert code == 0
+        rows = [line.split("\t") for line in out.strip().splitlines()]
+        assert len(rows) == 9
+        assert all(series == count for _, series, count in rows)
+
+    def test_oracle_cap(self, capsys):
+        assert main(["trees", "--k", "2", "--order", "13", "--oracle"]) == 2
+        assert "--oracle is capped at order 12" in capsys.readouterr().err
+
     def test_oracle_requires_k2(self, capsys):
         code, _ = run(capsys, "trees", "--k", "3", "--order", "4", "--oracle")
         assert code == 2

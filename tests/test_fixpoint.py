@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hurwitz import verify
 from hurwitz.fixpoint import (
     NotAContractionError,
     PhiSpec,
@@ -128,6 +129,16 @@ class TestExpForms:
         a = solve_tree_series(2, 8)
         corrupted = a.with_coefficient(4, a[4] + 1)
         assert not verify_postnikov_form(corrupted)
+
+    def test_general_k_check_refutes_a_wrong_series(self, monkeypatch):
+        # the wrong k = 4 series is still integral, so only the exp forms
+        # can refute it
+        def wrong(k, order):
+            a = solve_tree_series(k, order)
+            return a.with_coefficient(12, a[12] + 1) if k == 4 else a
+
+        monkeypatch.setattr(verify, "solve_tree_series", wrong)
+        assert not verify.check_general_k_integrality(4, 24)
 
     def test_all_three_forms_at_once(self):
         a = solve_tree_series(2, 10)
