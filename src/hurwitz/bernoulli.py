@@ -4,10 +4,11 @@ The numbers M_n(h,k) = k^n (B_n(h/k) - B_n) are computed by two independent
 routes, both on integer sequences: ``m_direct_values`` from the Bernoulli
 numbers, M_n = sum_{m<n} C(n,m) (k^m B_m) h^{n-m}, one integer convolution
 over their common denominator; and ``m_series`` as the EGF coefficients of
-k x (e^{hx} - 1)/(e^{kx} - 1), one ``QQ.quotient`` of the integers k h^n
-(n >= 1) by (e^{kx} - 1)/x = [k^{n+1}/(n+1)].  Neither assumes the result
-is integral.  ``certify`` runs the integrality argument end to end and
-records every step in a machine-checkable certificate.
+k x (e^{hx} - 1)/(e^{kx} - 1), one ``int_quotient`` of the integers k h^n
+(n >= 1) by (e^{kx} - 1)/x = [k^{n+1}/(n+1)], both scaled by lcm(1..N+1).
+Neither assumes the result is integral.  ``certify`` runs the integrality
+argument end to end and records every step in a machine-checkable
+certificate.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from operator import mul
 
 from .fixpoint import solve_tree_series
-from .rings import QQ, ZZ, binomial, binomial_rows, int_convolve, numerators
+from .rings import QQ, ZZ, binomial, binomial_rows, int_convolve, int_quotient, numerators
 from .series import EgfSeries, IntegralityReport, SeriesError, check_order
 
 _ONE_HALF = Fraction(1, 2)
@@ -45,16 +46,19 @@ def bernoulli_poly_at(n: int, q) -> Fraction:
 def m_series(h: int, k: int, order: int) -> EgfSeries:
     """k x (e^{hx} - 1)/(e^{kx} - 1); coefficient n is M_n(h, k).
 
-    One ``QQ.quotient`` of k (e^{hx} - 1), the integers [0, k h, k h^2, ...],
-    by (e^{kx} - 1)/x, whose EGF coefficients are k^{n+1}/(n+1).  Valid for
-    any nonzero integer k: that divisor has constant term k, a unit.
+    The quotient of k (e^{hx} - 1), the integers [0, k h, k h^2, ...], by
+    (e^{kx} - 1)/x, whose EGF coefficients are k^{n+1}/(n+1).  Both are
+    scaled by L = lcm(1..order+1), which makes the divisor the integers
+    k^{n+1} L/(n+1), so one ``int_quotient`` gives the series.  Valid for
+    any nonzero integer k: that divisor has constant term k L, nonzero.
     """
     if k == 0:
         raise SeriesError("k must be nonzero")
     check_order(order)
-    num = [0] + [k * h**n for n in range(1, order + 1)]
-    den = [Fraction(k ** (n + 1), n + 1) for n in range(order + 1)]
-    return EgfSeries(QQ, QQ.quotient(num, den))
+    common = lcm(*range(1, order + 2))
+    num = [0] + [common * k * h**n for n in range(1, order + 1)]
+    den = [k ** (n + 1) * (common // (n + 1)) for n in range(order + 1)]
+    return EgfSeries(QQ, int_quotient(num, den))
 
 
 def m_direct(n: int, h: int, k: int) -> Fraction:

@@ -7,6 +7,11 @@ J. Symbolic Comput. 34, 2002): each map supplies a step that turns the known
 prefix A_0..A_{m-1} into coefficient m of Phi(A) by extending cached powers
 by one coefficient, so Phi is never re-run as a whole while solving.  One
 full-order evaluation Phi(A) = A then certifies the solution.
+
+Two checks compare a solution with the exp forms it should satisfy:
+``verify_exp_form`` checks (1+A)^k = e^{x p_k(A)} in the series' own ring,
+so over Z with no division, and ``verify_postnikov_form`` lifts A to Q for
+the 1/2 in 1 + A = e^{(x/2)(2+A)}.
 """
 
 from __future__ import annotations
@@ -168,28 +173,24 @@ def solve_tree_series(k: int, order: int) -> EgfSeries:
 
 
 def verify_exp_form(a: EgfSeries, k: int) -> bool:
-    """Check (1+A)^k = e^{x p_k(A)} and B = e^{x(1+B+...+B^{k-1})/k}, B = 1+A.
+    """Check the paper's equation (1+A)^k = e^{x p_k(A)}, in A's own ring.
 
-    A is lifted to QQ first, because the second form scales by 1/k."""
-    a = a.over(QQ)
+    This one form also gives the second, B = e^{x(1+B+...+B^{k-1})/k} with
+    B = 1+A: since 1 + B + ... + B^{k-1} = ((1+A)^k - 1)/A = p_k(A), the
+    k-th power of the second form's right side is e^{x p_k(A)}, and a k-th
+    root with constant term 1 is unique (its log is 1/k of the power's), so
+    it is B.  Neither side divides, so over ZZ the check runs on integers.
+    """
     ring, order = a.ring, a.order
     if not ring.is_zero(a.coeffs[0]):
         raise SeriesError("expects zero constant term")
     one = EgfSeries.one(order, ring)
     b = one + a
     lhs = one
-    geom = EgfSeries.zero(order, ring)
-    power = one
-    for j in range(k):
+    for _ in range(k):
         lhs = lhs * b
-        if j > 0:
-            power = power * b
-        geom = geom + power
     exponent = pk_of_series(k, a).mul_by_x().truncate(order)
-    if lhs != exponent.exp():
-        return False
-    exponent2 = geom.mul_by_x().truncate(order).scale(Fraction(1, k))
-    return b == exponent2.exp()
+    return lhs == exponent.exp()
 
 
 def verify_postnikov_form(a: EgfSeries) -> bool:

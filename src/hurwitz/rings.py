@@ -13,12 +13,12 @@ remainder, so a Hurwitz series computed there is integral by construction.
 The contract also owns the O(n^2) series kernel ``convolve`` (the EGF
 product): ``int_convolve`` over Z, the same loop on integer numerators over
 a common denominator over Q, and term by term over Z[a1,a2,b1,b2].  Over Q,
-``quotient`` (g with c * g = b) runs the triangular back-substitution the
-same way: integer numerators, a running common denominator, one Fraction
-per output coefficient.  Every kernel, and the term-by-term
-``product_coefficient``, reads its binomial coefficients from one shared
-table of Pascal rows (``binomial_rows``), grown to the largest order asked
-for and never rebuilt.
+``quotient`` (g with c * g = b) scales b and c to integer numerators and
+runs ``int_quotient``, the triangular back-substitution on integers with a
+running common denominator and one Fraction per output coefficient.  Every
+kernel, and the term-by-term ``product_coefficient``, reads its binomial
+coefficients from one shared table of Pascal rows (``binomial_rows``), grown
+to the largest order asked for and never rebuilt.
 """
 
 from __future__ import annotations
@@ -84,6 +84,34 @@ def int_convolve(f, g) -> list[int]:
     g_rev = g[::-1]
     # g_rev[top - n:] is g_n, g_{n-1}, ..., g_0
     return [sum(map(mul, rows[n], map(mul, f, g_rev[top - n:]))) for n in range(top + 1)]
+
+
+def int_quotient(b, c) -> list[Fraction]:
+    """g with c * g = b for equal-length int sequences b and c:
+    g_n = (b_n - sum_{j<n} C(n,j) g_j c_{n-j}) / c_0.
+
+    The known g_0..g_{n-1} are kept as integer numerators G over their lcm
+    denominator L, so g_n = (L b_n - sum_{j<n} C(n,j) G_j c_{n-j}) / (L c_0)
+    is one Fraction per coefficient, on integers the size of the result's.
+    Raises ZeroDivisionError if c_0 = 0.
+    """
+    top = len(c) - 1
+    c0 = c[0]
+    c_rev = c[::-1]
+    rows = binomial_rows(top)
+    g, g_nums, den = [], [], 1
+    for n, b_n in enumerate(b):
+        # the products stop at len(g_nums) = n, so j < n; c_rev[top - n:] is
+        # c_n, c_{n-1}, ...
+        s = sum(map(mul, map(mul, rows[n], g_nums), c_rev[top - n:]))
+        q = Fraction(den * b_n - s, den * c0)
+        g.append(q)
+        if den % q.denominator:
+            scale = lcm(den, q.denominator) // den
+            den *= scale
+            g_nums = [x * scale for x in g_nums]
+        g_nums.append(q.numerator * (den // q.denominator))
+    return g
 
 
 def product_coefficient(f, g, n: int, ring):
@@ -156,35 +184,15 @@ class RationalRing:
         return [Fraction(s, d) for s in int_convolve(f_nums, g_nums)]
 
     def quotient(self, b, c) -> list[Fraction]:
-        """g with c * g = b for equal-length b and c:
-        g_n = (b_n - sum_{j<n} C(n,j) g_j c_{n-j}) / c_0.
+        """g with c * g = b for equal-length b and c.
 
-        b and c are scaled once to integer numerators B over E and C over D,
-        and the known g_0..g_{n-1} are kept as integer numerators G over
-        their lcm denominator L, so
-        g_n = (D L B_n - E sum_{j<n} C(n,j) G_j C_{n-j}) / (E L C_0)
-        is one Fraction per coefficient, on integers the size of the
-        result's.  Raises ZeroDivisionError if c_0 = 0.
+        b and c are scaled once to integer numerators B over E and C over D;
+        then (E C) * g = D B, which ``int_quotient`` solves.  Raises
+        ZeroDivisionError if c_0 = 0.
         """
         e, b_nums = numerators(b)
         d, c_nums = numerators(c)
-        top = len(c_nums) - 1
-        e_c0 = e * c_nums[0]
-        c_rev = c_nums[::-1]
-        rows = binomial_rows(top)
-        g, g_nums, den = [], [], 1
-        for n, b_n in enumerate(b_nums):
-            # the products stop at len(g_nums) = n, so j < n; c_rev[top - n:]
-            # is c_n, c_{n-1}, ...
-            s = sum(map(mul, map(mul, rows[n], g_nums), c_rev[top - n:]))
-            q = Fraction(d * den * b_n - e * s, den * e_c0)
-            g.append(q)
-            if den % q.denominator:
-                scale = lcm(den, q.denominator) // den
-                den *= scale
-                g_nums = [x * scale for x in g_nums]
-            g_nums.append(q.numerator * (den // q.denominator))
-        return g
+        return int_quotient([d * x for x in b_nums], [e * x for x in c_nums])
 
     def render(self, c) -> str:
         return render_rational(_as_fraction(c))

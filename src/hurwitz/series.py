@@ -12,7 +12,7 @@ silently.
 from __future__ import annotations
 
 from math import factorial
-from operator import mul
+from operator import add, mul, neg, sub
 from typing import NamedTuple, Optional
 
 from .rings import QQ, product_coefficient
@@ -43,6 +43,17 @@ class EgfSeries:
         if not self.coeffs:
             raise SeriesError("a series needs at least the constant term")
 
+    @classmethod
+    def _of(cls, ring, coeffs):
+        """A series on coefficients that the ring's own arithmetic produced,
+        so already ring elements: no ``coerce`` call per coefficient.  Every
+        kernel below builds its result through this; outside input goes
+        through ``EgfSeries(ring, coeffs)``."""
+        series = cls.__new__(cls)
+        series.ring = ring
+        series.coeffs = tuple(coeffs)
+        return series
+
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
@@ -67,12 +78,12 @@ class EgfSeries:
     @classmethod
     def zero(cls, order, ring=QQ):
         check_order(order)
-        return cls(ring, [ring.zero] * (order + 1))
+        return cls._of(ring, [ring.zero] * (order + 1))
 
     @classmethod
     def one(cls, order, ring=QQ):
         check_order(order)
-        return cls(ring, [ring.one] + [ring.zero] * order)
+        return cls._of(ring, [ring.one] + [ring.zero] * order)
 
     @classmethod
     def basis(cls, n, order, ring=QQ):
@@ -82,7 +93,7 @@ class EgfSeries:
             raise SeriesError(f"basis index {n} exceeds order {order}")
         coeffs = [ring.zero] * (order + 1)
         coeffs[n] = ring.one
-        return cls(ring, coeffs)
+        return cls._of(ring, coeffs)
 
     @classmethod
     def exp_line(cls, slope, order, ring=QQ):
@@ -120,13 +131,14 @@ class EgfSeries:
     def truncate(self, order):
         if order > self.order:
             raise SeriesError("cannot extend a truncated series")
-        return EgfSeries(self.ring, self.coeffs[: order + 1])
+        check_order(order)
+        return EgfSeries._of(self.ring, self.coeffs[: order + 1])
 
     def extend(self, order):
         """Pad with zero coefficients up to the given order."""
         if order < self.order:
             raise SeriesError("extend cannot shrink a series")
-        return EgfSeries(
+        return EgfSeries._of(
             self.ring, self.coeffs + (self.ring.zero,) * (order - self.order)
         )
 
@@ -134,22 +146,18 @@ class EgfSeries:
 
     def __add__(self, other):
         self._check(other)
-        return EgfSeries(
-            self.ring, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return EgfSeries._of(self.ring, map(add, self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         self._check(other)
-        return EgfSeries(
-            self.ring, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return EgfSeries._of(self.ring, map(sub, self.coeffs, other.coeffs))
 
     def __neg__(self):
-        return EgfSeries(self.ring, [-c for c in self.coeffs])
+        return EgfSeries._of(self.ring, map(neg, self.coeffs))
 
     def scale(self, c):
         c = self.ring.coerce(c)
-        return EgfSeries(self.ring, [c * a for a in self.coeffs])
+        return EgfSeries._of(self.ring, [c * a for a in self.coeffs])
 
     # -- multiplicative structure ------------------------------------------
 
@@ -157,7 +165,7 @@ class EgfSeries:
         """Binomial convolution (fg)_n = sum_j C(n,j) f_j g_{n-j}, run by the
         coefficient ring's ``convolve``."""
         self._check(other)
-        return EgfSeries(self.ring, self.ring.convolve(self.coeffs, other.coeffs))
+        return EgfSeries._of(self.ring, self.ring.convolve(self.coeffs, other.coeffs))
 
     def __truediv__(self, other):
         """g with other * g = self, by the coefficient ring's ``quotient``,
@@ -167,7 +175,7 @@ class EgfSeries:
             raise SeriesError(f"no series reciprocal over {self.ring.name}")
         if not self.ring.is_unit(other.coeffs[0]):
             raise SeriesError("constant term is not a unit")
-        return EgfSeries(self.ring, self.ring.quotient(self.coeffs, other.coeffs))
+        return EgfSeries._of(self.ring, self.ring.quotient(self.coeffs, other.coeffs))
 
     def reciprocal(self):
         """g with self * g = 1: the series division 1 / self."""
@@ -190,7 +198,7 @@ class EgfSeries:
         coeffs = [self.ring.zero]
         for n, c in enumerate(self.coeffs):
             coeffs.append((n + 1) * c)
-        return EgfSeries(self.ring, coeffs)
+        return EgfSeries._of(self.ring, coeffs)
 
     # -- composition -------------------------------------------------------
 
@@ -214,7 +222,7 @@ class EgfSeries:
         for m in range(1, order + 1):
             power = power * inner
             result = result + power.scale(self.coeffs[m] * (top // factorial(m)))
-        return EgfSeries(ring, [ring.divide(c, top) for c in result.coeffs])
+        return EgfSeries._of(ring, [ring.divide(c, top) for c in result.coeffs])
 
     def comp_inverse(self):
         """g with g(self(x)) = x (hence also self(g(x)) = x), solved order
@@ -245,7 +253,7 @@ class EgfSeries:
                 acc = acc + g[m] * ring.divide(powers[m][n], factorial(m))
             lead = ring.divide(powers[n][n], factorial(n))  # = f_1^n
             g[n] = ring.invert(lead) * (target - acc)
-        return EgfSeries(ring, g)
+        return EgfSeries._of(ring, g)
 
     # -- exp / log ---------------------------------------------------------
 
@@ -258,7 +266,7 @@ class EgfSeries:
         y = [ring.one]
         for n in range(self.order):
             y.append(product_coefficient(deriv, y, n, ring))
-        return EgfSeries(ring, y)
+        return EgfSeries._of(ring, y)
 
     def log(self):
         """log f for f with constant term 1, as the antiderivative of f'/f."""
@@ -267,8 +275,8 @@ class EgfSeries:
             raise SeriesError("log requires constant term 1")
         if self.order == 0:
             return EgfSeries.zero(0, ring)
-        quot = EgfSeries(ring, self.coeffs[1:]) / self.truncate(self.order - 1)
-        return EgfSeries(ring, (ring.zero,) + quot.coeffs)
+        quot = EgfSeries._of(ring, self.coeffs[1:]) / self.truncate(self.order - 1)
+        return EgfSeries._of(ring, (ring.zero,) + quot.coeffs)
 
     def subst_exp_minus_one(self):
         """Compose with e^x - 1: coefficient n is sum_m S(n, m) c_m, where
@@ -285,7 +293,7 @@ class EgfSeries:
             # S(n, 0) = 0 for n >= 1, so c_0 only reaches the constant term
             row = [0, *[m * row[m] + row[m - 1] for m in range(1, n)], 1]
             out.append(sum(map(mul, row, coeffs), self.ring.zero))
-        return EgfSeries(self.ring, out)
+        return EgfSeries._of(self.ring, out)
 
     # -- integrality and rendering ----------------------------------------
 

@@ -119,6 +119,17 @@ class TestExpForms:
         a = EgfSeries.exp_line(1, 6) - EgfSeries.one(6)
         assert verify_exp_form(a, 1)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_exp_form_runs_over_zz(self, monkeypatch, k):
+        def no_lift(series, ring):
+            raise AssertionError(f"lifted to {ring.name}")
+
+        monkeypatch.setattr(EgfSeries, "over", no_lift)
+        a = solve_tree_series(k, 10)
+        assert a.ring is ZZ
+        assert verify_exp_form(a, k)
+        assert not verify_exp_form(a.with_coefficient(7, a[7] + 1), k)
+
     def test_postnikov_form(self):
         assert verify_postnikov_form(solve_tree_series(2, 8))
 
@@ -131,7 +142,7 @@ class TestExpForms:
         assert not verify_postnikov_form(corrupted)
 
     def test_general_k_check_refutes_a_wrong_series(self, monkeypatch):
-        # the wrong k = 4 series is still integral, so only the exp forms
+        # the wrong k = 4 series is still integral, so only the exp form
         # can refute it
         def wrong(k, order):
             a = solve_tree_series(k, order)

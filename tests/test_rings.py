@@ -315,7 +315,7 @@ def test_exact_div_roundtrip(p, q):
     assert (p * q).exact_div(q) == p
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(small_polys, small_polys, assignments)
 def test_eval_is_ring_homomorphism(p, q, v):
     assert (p * q).evaluate(v) == p.evaluate(v) * q.evaluate(v)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hurwitz import verify
 from hurwitz.parametric import parametric_inverse_series, solve_parametric_f
 from hurwitz.rings import POLY, QQ, ZZ, MultiPoly, NonDivisibleError
 from hurwitz.series import EgfSeries, SeriesError
@@ -281,6 +282,19 @@ def test_hurwitz_closure_inverse(g):
     assert g.comp_inverse().integrality_report().integral
 
 
+def test_closure_check_returns_false_on_a_remainder(monkeypatch):
+    # a compose that divides by (N+1)! in place of N! leaves a remainder in
+    # ZZ.divide, which the check reports as a failure rather than raising
+    compose = EgfSeries.compose
+
+    def compose_by_wrong_factorial(self, inner):
+        return EgfSeries(ZZ, [ZZ.divide(c, self.order + 1) for c in compose(self, inner).coeffs])
+
+    assert verify.check_hurwitz_closure(5, 6)
+    monkeypatch.setattr(EgfSeries, "compose", compose_by_wrong_factorial)
+    assert not verify.check_hurwitz_closure(5, 6)
+
+
 # -- QQ kernels against the Fraction loops ------------------------------------
 #
 # reference_convolve and reference_reciprocal are the Fraction loops that ran
@@ -334,7 +348,7 @@ def assert_exactly_equal(got, expected):
     assert all(type(c) is Fraction for c in got)
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(orders.flatmap(lambda n: st.tuples(coefficients(n), coefficients(n))))
 @example(([F(3)], [F(-2, 7)]))
 @example((MIXED_40, MIXED_40[::-1]))
@@ -454,7 +468,7 @@ def at_point(series, point):
     return EgfSeries(QQ, [c.evaluate(point) for c in series.coeffs])
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 16).flatmap(
         lambda n: st.tuples(coefficients(n), coefficients(n))
@@ -563,3 +577,65 @@ def test_zz_subst_exp_minus_one_matches_compose(c):
     got = f.subst_exp_minus_one()
     assert got == compose_exp_minus_one(f)
     assert all(type(x) is int for x in got.coeffs)
+
+
+# -- kernel outputs are ring elements without re-coercion ---------------------
+#
+# Every series kernel builds its result with the non-coercing
+# ``EgfSeries._of``; this checks that what it builds is what the public,
+# coercing constructor would: coefficients of the ring's exact element type.
+
+ELEMENT_TYPES = {QQ: Fraction, ZZ: int, POLY: MultiPoly}
+ELEMENTS = {QQ: rationals, ZZ: st.integers(-(2**70), 2**70), POLY: small_polys}
+
+
+@st.composite
+def ring_series_pairs(draw):
+    ring = draw(st.sampled_from([QQ, ZZ, POLY]))
+    order = draw(st.integers(1, 5))
+    coeffs = st.lists(ELEMENTS[ring], min_size=order + 1, max_size=order + 1)
+    return ring, EgfSeries(ring, draw(coeffs)), EgfSeries(ring, draw(coeffs))
+
+
+def kernel_outputs(ring, f, g):
+    order = f.order
+    inner = g.with_coefficient(0, ring.zero)
+    outputs = {
+        "zero": EgfSeries.zero(order, ring),
+        "one": EgfSeries.one(order, ring),
+        "basis": EgfSeries.basis(1, order, ring),
+        "add": f + g,
+        "sub": f - g,
+        "neg": -f,
+        "scale": f.scale(g[1]),
+        "mul": f * g,
+        "mul_by_x": f.mul_by_x(),
+        "truncate": f.truncate(order - 1),
+        "extend": f.extend(order + 1),
+        "compose": f.compose(inner),
+        "comp_inverse": inner.with_coefficient(1, ring.one).comp_inverse(),
+        "exp": inner.exp(),
+        "subst_exp_minus_one": f.subst_exp_minus_one(),
+    }
+    if ring is QQ:  # series division is rational only
+        unit = f.with_coefficient(0, F(-3, 2))
+        outputs["truediv"] = g / unit
+        outputs["reciprocal"] = unit.reciprocal()
+        outputs["log"] = f.with_coefficient(0, ring.one).log()
+    return outputs
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_series_pairs())
+def test_kernel_outputs_are_exact_ring_elements(args):
+    ring, f, g = args
+    for name, out in kernel_outputs(ring, f, g).items():
+        assert out.ring is ring, name
+        assert all(type(c) is ELEMENT_TYPES[ring] for c in out.coeffs), name
+        assert out == EgfSeries(ring, out.coeffs), name
+
+
+@pytest.mark.parametrize("ring", [ZZ, POLY])
+def test_public_constructor_still_coerces(ring):
+    with pytest.raises(TypeError, match=r"Fraction\(3, 1\)"):
+        EgfSeries(ring, [F(3)])
