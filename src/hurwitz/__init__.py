@@ -27,7 +27,7 @@ from .fixpoint import (
     verify_exp_form,
     verify_postnikov_form,
 )
-from .rings import POLY, QQ, ZZ, MultiPoly, NonDivisibleError, binomial, rational
+from .rings import POLY, QQ, ZZ, MultiPoly, NonDivisibleError
 from .series import EgfSeries, IntegralityReport, SeriesError
 from .trees import count_alternating_trees
 
@@ -45,7 +45,6 @@ __all__ = [
     "SeriesError",
     "am_phi",
     "bernoulli_poly_at",
-    "binomial",
     "certify",
     "compare_bfile",
     "count_alternating_trees",
@@ -56,7 +55,6 @@ __all__ = [
     "m_series",
     "parse_bfile",
     "pk_of_series",
-    "rational",
     "reduction_factor",
     "solve_fixed_point",
     "solve_tree_series",

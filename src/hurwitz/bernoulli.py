@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import comb, factorial, lcm
 from operator import mul
 
 from .fixpoint import solve_tree_series
-from .rings import QQ, ZZ, binomial, binomial_rows, int_convolve, int_quotient, numerators
+from .rings import QQ, ZZ, binomial_rows, int_convolve, int_quotient, numerators
 from .series import EgfSeries, IntegralityReport, SeriesError, check_order
 
 _ONE_HALF = Fraction(1, 2)
@@ -127,7 +127,7 @@ def inverse_tree_series(k: int, order: int) -> EgfSeries:
         raise ValueError("k must be a positive integer")
     check_order(order)
     rows = binomial_rows(order)
-    d = [binomial(k, i + 1) * factorial(i) for i in range(k)]
+    d = [comb(k, i + 1) * factorial(i) for i in range(k)]
     g = [0]
     log_n = k  # l_1 = k
     for n in range(1, order + 1):

@@ -10,6 +10,12 @@ whose kernel ``quotient`` only ``RationalRing`` provides.  Over Z and
 Z[a1,a2,b1,b2] ``divide`` is exact and raises ``NonDivisibleError`` on a
 remainder, so a Hurwitz series computed there is integral by construction.
 
+The contract holds only what the elements cannot do themselves: ``name``,
+``zero``, ``one``, ``coerce``, ``is_unit``, ``is_integral``, ``divide``,
+``convolve`` and ``render``, plus ``quotient`` over Q.  Elements of every
+ring add, multiply, take int scalars and compare with the ints 0 and 1
+through ``==``, so ``scale(2)`` and ``c == 0`` need no ring method.
+
 The contract also owns the O(n^2) series kernel ``convolve`` (the EGF
 product): ``int_convolve`` over Z, the same loop on integer numerators over
 a common denominator over Q, and term by term over Z[a1,a2,b1,b2].  Over Q,
@@ -24,26 +30,10 @@ to the largest order asked for and never rebuilt.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 from operator import add, mul
 
 from .poly import VARIABLES, MultiPoly, NonDivisibleError, as_poly  # noqa: F401  (re-exports)
-
-
-def rational(numerator, denominator=1) -> Fraction:
-    """Canonical lowest-terms rational; raises ZeroDivisionError on d = 0."""
-    if denominator == 0:
-        raise ZeroDivisionError("division by zero")
-    return Fraction(numerator, denominator)
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) for n >= 0; zero outside 0 <= k <= n."""
-    if n < 0:
-        raise ValueError("binomial requires n >= 0")
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
 
 
 def render_rational(q: Fraction) -> str:
@@ -145,30 +135,16 @@ class RationalRing:
     zero = Fraction(0)
     one = Fraction(1)
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
-
     def coerce(self, c) -> Fraction:
         return _as_fraction(c)
-
-    def is_zero(self, c) -> bool:
-        return c == 0
-
-    def is_one(self, c) -> bool:
-        return c == 1
 
     def is_unit(self, c) -> bool:
         return c != 0
 
-    def invert(self, c) -> Fraction:
-        if c == 0:
-            raise ZeroDivisionError("division by zero")
-        return 1 / _as_fraction(c)
-
     def is_integral(self, c) -> bool:
         return _as_fraction(c).denominator == 1
 
-    def divide(self, c, n: int) -> Fraction:
+    def divide(self, c, n) -> Fraction:
         return c / n
 
     def convolve(self, f, g) -> list[Fraction]:
@@ -210,24 +186,10 @@ class IntegerRing:
     zero = 0
     one = 1
 
-    def from_int(self, n: int) -> int:
-        return n
-
     coerce = staticmethod(_as_int)
-
-    def is_zero(self, c) -> bool:
-        return c == 0
-
-    def is_one(self, c) -> bool:
-        return c == 1
 
     def is_unit(self, c) -> bool:
         return c == 1 or c == -1
-
-    def invert(self, c) -> int:
-        if not self.is_unit(c):
-            raise ZeroDivisionError(f"{c} is not a unit")
-        return c  # 1 and -1 are their own inverses
 
     def is_integral(self, c) -> bool:
         _as_int(c)
@@ -254,33 +216,18 @@ class PolyRing:
     zero = MultiPoly()
     one = MultiPoly.constant(1)
 
-    def from_int(self, n: int) -> MultiPoly:
-        return MultiPoly.constant(n)
-
     coerce = staticmethod(as_poly)
-
-    def is_zero(self, c) -> bool:
-        return as_poly(c).is_zero()
-
-    def is_one(self, c) -> bool:
-        return as_poly(c) == 1
 
     def is_unit(self, c) -> bool:
         c = as_poly(c)
         return c == 1 or c == -1
 
-    def invert(self, c) -> MultiPoly:
-        c = as_poly(c)
-        if not self.is_unit(c):
-            raise ZeroDivisionError(f"{c.render()} is not a unit")
-        return c  # 1 and -1 are their own inverses
-
     def is_integral(self, c) -> bool:
         as_poly(c)  # the coefficients are ints by construction
         return True
 
-    def divide(self, c, n: int) -> MultiPoly:
-        """c / n coefficient by coefficient; NonDivisibleError on a remainder."""
+    def divide(self, c, n) -> MultiPoly:
+        """c / n for an int or polynomial n; NonDivisibleError on a remainder."""
         return as_poly(c).exact_div(n)
 
     def convolve(self, f, g) -> list[MultiPoly]:

@@ -22,10 +22,10 @@ class SeriesError(ValueError):
     """Precondition or ring/order compatibility failure."""
 
 
-def check_order(order: int, minimum: int = 0) -> None:
-    """Reject a truncation order below ``minimum``, naming it."""
-    if order < minimum:
-        raise SeriesError(f"order must be >= {minimum}, got {order}")
+def check_order(order: int) -> None:
+    """Reject a negative truncation order, naming it."""
+    if order < 0:
+        raise SeriesError(f"order must be >= 0, got {order}")
 
 
 class IntegralityReport(NamedTuple):
@@ -184,7 +184,7 @@ class EgfSeries:
     def div_by_x(self):
         """f/x for f with zero constant term: order drops by one and
         c'_n = c_{n+1} / (n+1)."""
-        if not self.ring.is_zero(self.coeffs[0]):
+        if self.coeffs[0] != 0:
             raise SeriesError("not divisible by x")
         if self.order == 0:
             raise SeriesError("order too small to divide by x")
@@ -213,7 +213,7 @@ class EgfSeries:
         """
         self._check(inner)
         ring = self.ring
-        if not ring.is_zero(inner.coeffs[0]):
+        if inner.coeffs[0] != 0:
             raise SeriesError("compose requires inner constant term 0")
         order = self.order
         top = factorial(order)
@@ -229,15 +229,15 @@ class EgfSeries:
         by order.
 
         Expanding g(f) = sum_m g_m f^m / m!, coefficient n of the equation
-        g(f) = x is linear in g_n with slope f_1^n, a unit; the powers of f
-        are computed once up front.  Each coefficient of f^m is divided by m!
+        g(f) = x is linear in g_n with slope f_1^n, a unit, so g_n is one
+        ``ring.divide`` by it; the powers of f are computed once up front.  Each coefficient of f^m is divided by m!
         with ``ring.divide``, exactly over ZZ and POLY: f^m / m! is a Hurwitz
         series when f is one with constant term 0.
         """
         ring = self.ring
         if self.order < 1:
             raise SeriesError(f"compositional inverse needs order >= 1, got {self.order}")
-        if not ring.is_zero(self.coeffs[0]):
+        if self.coeffs[0] != 0:
             raise SeriesError("compositional inverse requires constant term 0")
         if not ring.is_unit(self.coeffs[1]):
             raise SeriesError("compositional inverse requires unit linear term")
@@ -252,7 +252,7 @@ class EgfSeries:
             for m in range(1, n):
                 acc = acc + g[m] * ring.divide(powers[m][n], factorial(m))
             lead = ring.divide(powers[n][n], factorial(n))  # = f_1^n
-            g[n] = ring.invert(lead) * (target - acc)
+            g[n] = ring.divide(target - acc, lead)
         return EgfSeries._of(ring, g)
 
     # -- exp / log ---------------------------------------------------------
@@ -260,7 +260,7 @@ class EgfSeries:
     def exp(self):
         """e^f for f with zero constant term, from y' = f' y, y(0) = 1."""
         ring = self.ring
-        if not ring.is_zero(self.coeffs[0]):
+        if self.coeffs[0] != 0:
             raise SeriesError("exp requires constant term 0")
         deriv = self.coeffs[1:]
         y = [ring.one]
@@ -271,7 +271,7 @@ class EgfSeries:
     def log(self):
         """log f for f with constant term 1, as the antiderivative of f'/f."""
         ring = self.ring
-        if not ring.is_one(self.coeffs[0]):
+        if self.coeffs[0] != 1:
             raise SeriesError("log requires constant term 1")
         if self.order == 0:
             return EgfSeries.zero(0, ring)

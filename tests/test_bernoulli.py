@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +19,7 @@ from hurwitz.bernoulli import (
     reduction_factor,
 )
 from hurwitz.fixpoint import solve_tree_series
-from hurwitz.rings import QQ, binomial
+from hurwitz.rings import QQ
 from hurwitz.series import EgfSeries, SeriesError
 
 F = Fraction
@@ -40,7 +40,7 @@ def reference_inverse_tree_series(k, order):
     log_series = one_plus_x.log()
     # (1+x)^k - 1 as an EGF: coefficient n is C(k,n) * n!
     den = EgfSeries(
-        QQ, [0] + [binomial(k, n) * factorial(n) for n in range(1, order + 2)]
+        QQ, [0] + [comb(k, n) * factorial(n) for n in range(1, order + 2)]
     )
     return (log_series * den.div_by_x().reciprocal()).scale(k)
 

@@ -53,7 +53,7 @@ def shift_by_x2_phi():
         lambda a: a + EgfSeries.basis(1, a.order) * EgfSeries.basis(1, a.order)
         if a.order >= 2
         else a,
-        lambda ring: lambda a: ring.from_int(2) if len(a) == 2 else ring.zero,
+        lambda ring: lambda a: 2 if len(a) == 2 else ring.zero,
     )
 
 

@@ -6,7 +6,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hurwitz import verify
-from hurwitz.parametric import parametric_inverse_series, solve_parametric_f
+from hurwitz.fixpoint import verify_exp_form
+from hurwitz.parametric import (
+    parametric_inverse_series,
+    solve_parametric_f,
+    verify_functional_equation,
+)
 from hurwitz.rings import POLY, QQ, ZZ, MultiPoly, NonDivisibleError
 from hurwitz.series import EgfSeries, SeriesError
 
@@ -446,6 +451,17 @@ def test_zz_comp_inverse_and_compose_match_qq(pair):
     assert composite.over(QQ) == outer.over(QQ).compose(inner.over(QQ))
 
 
+# comp_inverse solves for g_n by dividing by f_1^n; with a linear term other
+# than 1 or -1, a division written the wrong way round breaks the round trip
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10).flatmap(coefficients), nonzero_rationals)
+@example([F(0), F(0), F(1), F(-2, 5)], F(3, 2))
+def test_qq_comp_inverse_with_non_unit_linear_term(coeffs, lead):
+    f = qs(F(0), lead, *coeffs[2:])
+    g = f.comp_inverse()
+    assert g.compose(f) == f.compose(g) == EgfSeries.basis(1, f.order)
+
+
 # -- compose against the Fraction(1, m!) loop --------------------------------
 #
 # reference_compose is the loop that ran EgfSeries.compose before it
@@ -531,7 +547,7 @@ def test_poly_compose_matches_fraction_loop(pair, point):
     points,
 )
 def test_poly_comp_inverse_commutes_with_evaluation(f, unit, point):
-    f = f.with_coefficient(1, POLY.from_int(unit))
+    f = f.with_coefficient(1, unit)
     inverse = f.comp_inverse()
     assert inverse.compose(f) == EgfSeries.basis(1, f.order, POLY)
     assert at_point(inverse, point) == at_point(f, point).comp_inverse()
@@ -633,6 +649,46 @@ def test_kernel_outputs_are_exact_ring_elements(args):
         assert out.ring is ring, name
         assert all(type(c) is ELEMENT_TYPES[ring] for c in out.coeffs), name
         assert out == EgfSeries(ring, out.coeffs), name
+
+
+# constant terms that each guard must reject and accept, in every ring; a1
+# is nonzero although its constant part is 0
+NONZERO_CONSTANTS = {QQ: F(1, 2), ZZ: 3, POLY: MultiPoly.variable("a1")}
+ZERO_CONSTANTS = {QQ: F(0), ZZ: 0, POLY: MultiPoly()}
+ONE_CONSTANTS = {QQ: F(1), ZZ: 1, POLY: MultiPoly.constant(1)}
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ, POLY], ids=lambda ring: ring.name)
+def test_constant_term_guards(ring):
+    x = EgfSeries.basis(1, 3, ring)
+    guards = [
+        ("exp requires constant term 0", EgfSeries.exp),
+        ("compose requires inner constant term 0", x.compose),
+        ("compositional inverse requires constant term 0", EgfSeries.comp_inverse),
+        ("not divisible by x", EgfSeries.div_by_x),
+        ("log requires constant term 1", EgfSeries.log),
+        ("expects zero constant term", lambda f: verify_exp_form(f, 2)),
+    ]
+    if ring is POLY:
+        guards.append(("expects zero constant term", verify_functional_equation))
+    bad = x.with_coefficient(0, NONZERO_CONSTANTS[ring])
+    for message, guarded in guards:
+        with pytest.raises(SeriesError, match=message):
+            guarded(bad)
+
+    x = x.with_coefficient(0, ZERO_CONSTANTS[ring])
+    assert x.exp() == EgfSeries.exp_line(1, 3, ring)
+    assert x.compose(x) == x.comp_inverse() == x
+    assert x.div_by_x() == EgfSeries.one(2, ring)
+    assert verify_exp_form(x, 2) is False
+    if ring is POLY:
+        assert verify_functional_equation(x) is False
+    one_plus_x = x.with_coefficient(0, ONE_CONSTANTS[ring])
+    if ring is QQ:
+        assert one_plus_x.log().coeffs == (0, 1, -1, 2)
+    else:  # past the guard, division is rational only
+        with pytest.raises(SeriesError, match="no series reciprocal"):
+            one_plus_x.log()
 
 
 @pytest.mark.parametrize("ring", [ZZ, POLY])
