@@ -134,7 +134,7 @@ def inverse_tree_series(k: int, order: int) -> EgfSeries:
         known = sum(rows[n][i] * g[n - i] * d[i] for i in range(1, min(k, n)))
         g.append(ZZ.divide(log_n - known, k))
         log_n *= -n  # l_{n+1} = -n l_n
-    return EgfSeries(ZZ, g)
+    return EgfSeries._of(ZZ, g)
 
 
 def genocchi_oracle(order: int) -> EgfSeries:

@@ -1,12 +1,15 @@
 """Command-line surface.
 
 Exit codes: 0 = all checks pass, 1 = mathematical mismatch or refutation,
-2 = usage or parse error.  Output is deterministic plain text (TSV default).
+2 = usage or parse error, 141 = stdout closed by its reader, as by ``| head``
+(no traceback; a shell shows 141 for a process that SIGPIPE ended).  Output
+is deterministic plain text (TSV default).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -19,6 +22,7 @@ from .trees import count_alternating_trees
 
 USAGE_ERROR = 2
 MISMATCH = 1
+BROKEN_PIPE = 141
 
 
 class CliError(Exception):
@@ -233,7 +237,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull, so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

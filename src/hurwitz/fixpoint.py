@@ -1,12 +1,16 @@
 """Online fixed-point solving for the functional equations.
 
 Each equation is written as A = Phi(A), where coefficient m of Phi(A) depends
-only on coefficients 0..m-1 of A (an x-adic contraction).  The solver is
-online ("relaxed", after van der Hoeven, *Relax, but don't be too lazy*,
-J. Symbolic Comput. 34, 2002): each map supplies a step that turns the known
-prefix A_0..A_{m-1} into coefficient m of Phi(A) by extending cached powers
-by one coefficient, so Phi is never re-run as a whole while solving.  One
-full-order evaluation Phi(A) = A then certifies the solution.
+only on coefficients 0..m-1 of A (an x-adic contraction).  Both maps of the
+package, the Hurwitz-making map of the tree series and the four-parameter map
+of :mod:`hurwitz.parametric`, have the shape
+Phi(A) = r(A) sum_{n>=1} u(A)^{n-1} x^n/n! for polynomials u and r, and
+``power_sum_phi`` builds both from u and r.  The solver is online ("relaxed",
+after van der Hoeven, *Relax, but don't be too lazy*, J. Symbolic Comput. 34,
+2002): one step turns the known prefix A_0..A_{m-1} into coefficient m of
+Phi(A) by extending cached powers by one coefficient, so Phi is never re-run
+as a whole while solving.  One full-order evaluation Phi(A) = A by ``apply``,
+a separate code path on series, then certifies the solution.
 
 Two checks compare a solution with the exp forms it should satisfy:
 ``verify_exp_form`` checks (1+A)^k = e^{x p_k(A)} in the series' own ring,
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable
 
 from .rings import QQ, ZZ, binomial_rows, product_coefficient
@@ -65,6 +70,17 @@ def solve_fixed_point(phi: PhiSpec, order: int, ring=QQ) -> EgfSeries:
     return a
 
 
+def polynomial_of_series(c, a: EgfSeries) -> EgfSeries:
+    """c_0 + c_1 A + ... + c_d A^d, with one series product for each of
+    A^2..A^d: the powers start from A itself, never from the series 1."""
+    result = EgfSeries.one(a.order, a.ring).scale(c[0])
+    power = None
+    for cj in c[1:]:
+        power = a if power is None else power * a
+        result = result + power.scale(cj)
+    return result
+
+
 def pk_of_series(k: int, a: EgfSeries) -> EgfSeries:
     """p_k(A) = C(k,1) + C(k,2) A + ... + C(k,k) A^{k-1}.
 
@@ -72,15 +88,7 @@ def pk_of_series(k: int, a: EgfSeries) -> EgfSeries:
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    ring, order = a.ring, a.order
-    row = binomial_rows(k)[k]
-    result = EgfSeries.zero(order, ring)
-    power = EgfSeries.one(order, ring)
-    for j in range(1, k + 1):
-        if j > 1:
-            power = power * a
-        result = result + power.scale(row[j])
-    return result
+    return polynomial_of_series(binomial_rows(k)[k][1:], a)
 
 
 def sum_powers_against_basis(p: EgfSeries) -> EgfSeries:
@@ -103,70 +111,71 @@ def sum_powers_against_basis(p: EgfSeries) -> EgfSeries:
         for n in range(1, m + 1):
             acc = acc + rows[m][n] * powers[n - 1][m - n]
         coeffs.append(acc)
-    return EgfSeries(ring, coeffs)
+    return EgfSeries._of(ring, coeffs)
 
 
-def online_power_sums(ring):
-    """``sum_powers_against_basis`` online: returns a function that gives one
-    coefficient of the sum per call, as p becomes known.
+def power_sum_phi(description: str, u, r) -> PhiSpec:
+    """Phi(A) = r(A) sum_{n>=1} u(A)^{n-1} x^n/n! for polynomials u and r,
+    given as coefficient lists u_0..u_d and r_0..r_e.
 
-    Called with p_0..p_{m-1}, a list grown by one coefficient since the
-    previous call, it returns coefficient m of the sum.  That needs the
-    anti-diagonal (p^i)_{m-1-i}, i < m, which needs only p_0..p_{m-2}:
-    ``powers[i]`` holds the known coefficients of p^i, and each call extends
-    every power by one coefficient and starts the next power.
+    ``apply`` evaluates this on series.  The online step keeps the known
+    coefficients of A^2..A^max(d,e), of u(A) and r(A), and of the powers
+    u(A)^2, u(A)^3, ...; each call extends every one of them by one
+    coefficient and starts the next power of u(A).  Coefficient m of the
+    sum, acc_m, needs u(A) only up to index m-2, and coefficient m of
+    Phi(A) is sum_{j<m} C(m,j) r(A)_j acc_{m-j}: the j = m term is
+    r(A)_m acc_0 with acc_0 = 0, so the unknown A_m is never needed.
     """
-    powers: list[list] = []
 
-    def next_coefficient(p: list):
-        m = len(p)
-        if m == 0:
-            return ring.zero
-        powers.append([])
-        row = binomial_rows(m)[m]
-        acc = ring.zero
-        for i, power in enumerate(powers):
-            j = m - 1 - i
-            if i == 0:
-                c = ring.one if j == 0 else ring.zero
-            else:
-                c = product_coefficient(powers[i - 1], p, j, ring)
-            power.append(c)
-            acc = acc + row[i + 1] * c
-        return acc
+    def apply(a: EgfSeries) -> EgfSeries:
+        return polynomial_of_series(r, a) * sum_powers_against_basis(polynomial_of_series(u, a))
 
-    return next_coefficient
+    def online(ring):
+        a_powers: list[list] = [[] for _ in range(max(len(u), len(r)) - 2)]  # A^2, A^3, ...
+        u_powers: list[list] = []  # u(A)^2, u(A)^3, ...
+        u_of_a, r_of_a, acc = [], [], [ring.zero]
+
+        def evaluate(c, column, j):
+            return sum(map(mul, c[1:], column), c[0] if j == 0 else ring.zero)
+
+        def step(a: list):
+            m = len(a)
+            if m == 0:
+                return ring.zero
+            j = m - 1
+            prev = a
+            for power in a_powers:
+                power.append(product_coefficient(prev, a, j, ring))
+                prev = power
+            column = [a[j]] + [power[j] for power in a_powers]  # (A^e)_j, e >= 1
+            u_of_a.append(evaluate(u, column, j))
+            r_of_a.append(evaluate(r, column, j))
+            # acc_m = sum_{n=1}^{m} C(m,n) (u^{n-1})_{m-n}; u^{m-1} starts here
+            row = binomial_rows(m)[m]
+            total = ring.one if m == 1 else row[2] * u_of_a[m - 2]
+            if m > 2:
+                u_powers.append([])
+            prev = u_of_a
+            for n, power in enumerate(u_powers, 3):
+                power.append(product_coefficient(prev, u_of_a, m - n, ring))
+                total = total + row[n] * power[-1]
+                prev = power
+            acc.append(total)
+            out = ring.zero
+            for i in range(m):
+                out = out + row[i] * r_of_a[i] * acc[m - i]
+            return out
+
+        return step
+
+    return PhiSpec(description=description, apply=apply, online=online)
 
 
 def am_phi(k: int) -> PhiSpec:
     """Phi(A) = sum_{n>=1} p_k(A)^{n-1} x^n/n!, the Hurwitz-making form."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-
-    def apply(a: EgfSeries) -> EgfSeries:
-        return sum_powers_against_basis(pk_of_series(k, a))
-
-    def online(ring):
-        a_powers: list[list] = [[] for _ in range(k)]  # A^0..A^{k-1}
-        row = binomial_rows(k)[k]
-        p: list = []  # p_k(A)
-        power_sums = online_power_sums(ring)
-
-        def step(a: list):
-            j = len(a) - 1
-            if j >= 0:
-                a_powers[0].append(ring.one if j == 0 else ring.zero)
-                for e in range(1, k):
-                    a_powers[e].append(product_coefficient(a_powers[e - 1], a, j, ring))
-                pj = ring.zero
-                for e in range(k):
-                    pj = pj + row[e + 1] * a_powers[e][j]
-                p.append(pj)
-            return power_sums(p)
-
-        return step
-
-    return PhiSpec(description=f"tree-series-phi(k={k})", apply=apply, online=online)
+    return power_sum_phi(f"tree-series-phi(k={k})", binomial_rows(k)[k][1:], [1])
 
 
 def solve_tree_series(k: int, order: int) -> EgfSeries:

@@ -24,13 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .fixpoint import (
-    PhiSpec,
-    online_power_sums,
-    solve_fixed_point,
-    sum_powers_against_basis,
-)
-from .rings import POLY, QQ, MultiPoly, binomial_rows, product_coefficient
+from .fixpoint import PhiSpec, power_sum_phi, solve_fixed_point
+from .rings import POLY, QQ, MultiPoly
 from .series import EgfSeries, SeriesError, check_order
 
 A1 = MultiPoly.variable("a1")
@@ -79,49 +74,12 @@ def parametric_inverse_series(order: int) -> EgfSeries:
         g_n = (log_n - n * CROSS * prev).exact_div(LINEAR)
         coeffs.append(g_n)
         prev = g_n
-    return EgfSeries(POLY, coeffs)
+    return EgfSeries._of(POLY, coeffs)
 
 
 def parametric_phi() -> PhiSpec:
     """F = (1+b1 F)(1+a2 F) sum_{n>=1} ((cross) F + e)^{n-1} x^n/n!."""
-
-    def apply(f: EgfSeries) -> EgfSeries:
-        order = f.order
-        one = EgfSeries.one(order, POLY)
-        inner = f.scale(CROSS) + one.scale(LINEAR)
-        acc = sum_powers_against_basis(inner)
-        prefactor = (one + f.scale(B1)) * (one + f.scale(A2))
-        return prefactor * acc
-
-    def online(ring):
-        inner: list = []  # (cross) F + e
-        left: list = []  # 1 + b1 F
-        right: list = []  # 1 + a2 F
-        prefactor: list = []
-        power_sums = online_power_sums(ring)
-        acc: list = []  # coefficients of the sum
-
-        def step(f: list):
-            m = len(f)
-            if m:
-                j = m - 1
-                unit = ring.one if j == 0 else ring.zero
-                inner.append(CROSS * f[j] + (LINEAR if j == 0 else ring.zero))
-                left.append(unit + B1 * f[j])
-                right.append(unit + A2 * f[j])
-                prefactor.append(product_coefficient(left, right, j, ring))
-            acc.append(power_sums(inner))
-            # the j = m term is prefactor_m * acc_0 with acc_0 = 0, so the
-            # unknown F_m is never needed
-            row = binomial_rows(m)[m]
-            out = ring.zero
-            for j in range(m):
-                out = out + row[j] * prefactor[j] * acc[m - j]
-            return out
-
-        return step
-
-    return PhiSpec(description="parametric-tree-phi", apply=apply, online=online)
+    return power_sum_phi("parametric-tree-phi", [LINEAR, CROSS], [1, A2 + B1, A2 * B1])
 
 
 def solve_parametric_f(order: int) -> EgfSeries:

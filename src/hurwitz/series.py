@@ -103,7 +103,7 @@ class EgfSeries:
         coeffs = [ring.one]
         for _ in range(order):
             coeffs.append(coeffs[-1] * slope)
-        return cls(ring, coeffs)
+        return cls._of(ring, coeffs)
 
     # -- ring-compatibility plumbing --------------------------------------
 
@@ -188,7 +188,7 @@ class EgfSeries:
             raise SeriesError("not divisible by x")
         if self.order == 0:
             raise SeriesError("order too small to divide by x")
-        return EgfSeries(
+        return EgfSeries._of(
             self.ring,
             [self.ring.divide(self.coeffs[n + 1], n + 1) for n in range(self.order)],
         )

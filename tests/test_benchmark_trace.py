@@ -2,10 +2,12 @@
 
 The tracer in ``perfbench/`` wraps public names of ``hurwitz`` from outside,
 so a renamed or bypassed function can leave a traced pass without one of the
-layer names that ``BENCHMARK.json`` declares.  One traced ``parametric``
-and one traced ``am-grid`` pass (each under half a second) run in a fresh
+layer names that ``BENCHMARK.json`` declares.  One traced ``parametric``,
+``am-grid`` and ``certify`` pass (each under a second) run in a fresh
 interpreter, as in the benchmark; a failed item, such as a reduction factor
-returned over the wrong ring, fails the test.
+returned over the wrong ring, fails the test.  ``certify`` is the pass whose
+tree-series solves go through ``am_phi``, one of the factories whose specs
+the tracer wraps.
 """
 
 import json
@@ -21,7 +23,7 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN_LEVEL = {"trace.overhead_s"}
 
 
-@pytest.mark.parametrize("workload", ["parametric", "am-grid"])
+@pytest.mark.parametrize("workload", ["parametric", "am-grid", "certify"])
 def test_traced_pass_reports_every_layer(tmp_path, workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "worker.py"), "--workload", workload,

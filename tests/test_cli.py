@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from hurwitz import verify
-from hurwitz.cli import main
+from hurwitz.cli import BROKEN_PIPE, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -280,3 +287,18 @@ class TestVerifyAll:
         for quick in (False, True):
             dict(verify.all_checks(quick))["beta-identity"]()
         assert calls == [(), (5, 6)]
+
+
+def test_closed_stdout_ends_without_traceback():
+    # 450 rows are more than a pipe holds, so the command is still writing
+    # when the reader, like `| head -1`, closes the pipe after one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hurwitz.cli", "compute", "--h", "1", "--k", "2", "--order", "450"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.stdout.readline() == "0\t0\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == BROKEN_PIPE
+    assert "Traceback" not in stderr

@@ -12,6 +12,7 @@ from hurwitz.fixpoint import (
     PhiSpec,
     am_phi,
     pk_of_series,
+    power_sum_phi,
     solve_fixed_point,
     solve_tree_series,
     sum_powers_against_basis,
@@ -169,6 +170,23 @@ class TestOracles:
     def test_parametric_online_matches_growing_order_iteration(self, order):
         online = solve_fixed_point(parametric_phi(), order, POLY)
         assert online == iterate_from_zero(parametric_phi(), order, POLY)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+        st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+        st.integers(0, 8),
+    )
+    def test_power_sum_phi_matches_growing_order_iteration(self, u, r, order):
+        # maps r(A) sum u(A)^{n-1} x^n/n! beyond the two the package solves
+        phi = power_sum_phi("t", u, r)
+        assert solve_fixed_point(phi, order, ZZ).over(QQ) == iterate_from_zero(phi, order)
+        if order:
+            # coefficient 1 of Phi(A) is r_0, so this online step puts the
+            # wrong A_1 and ``apply`` refutes it
+            other = power_sum_phi("t", u, [r[0] + 1, *r[1:]])
+            with pytest.raises(NotAContractionError):
+                solve_fixed_point(replace(phi, online=other.online), order, ZZ)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(-9, 9), min_size=1, max_size=12))

@@ -626,6 +626,8 @@ def kernel_outputs(ring, f, g):
         "scale": f.scale(g[1]),
         "mul": f * g,
         "mul_by_x": f.mul_by_x(),
+        "div_by_x": f.mul_by_x().div_by_x(),
+        "exp_line": EgfSeries.exp_line(g[1], order, ring),
         "truncate": f.truncate(order - 1),
         "extend": f.extend(order + 1),
         "compose": f.compose(inner),
