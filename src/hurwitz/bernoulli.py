@@ -1,14 +1,16 @@
 """Bernoulli polynomials, Almkvist-Meurman numbers, and the proof pipeline.
 
-The numbers M_n(h,k) = k^n (B_n(h/k) - B_n) are computed by two independent
-routes, both on integer sequences: ``m_direct_values`` from the Bernoulli
-numbers, M_n = sum_{m<n} C(n,m) (k^m B_m) h^{n-m}, one integer convolution
-over their common denominator; and ``m_series`` as the EGF coefficients of
-k x (e^{hx} - 1)/(e^{kx} - 1), one ``int_quotient`` of the integers k h^n
-(n >= 1) by (e^{kx} - 1)/x = [k^{n+1}/(n+1)], both scaled by lcm(1..N+1).
-Neither assumes the result is integral.  ``certify`` runs the integrality
-argument end to end and records every step in a machine-checkable
-certificate.
+The numbers M_n(h,k) = k^n (B_n(h/k) - B_n) are computed over ZZ by two
+independent routes: ``m_direct_values`` from the Bernoulli numbers,
+M_n = sum_{m<n} C(n,m) (k^m B_m) h^{n-m}, one integer convolution over their
+common denominator d followed by one division by d per coefficient; and
+``m_series`` as the EGF coefficients of k x (e^{hx} - 1)/(e^{kx} - 1), read
+order by order off (e^{kx} - 1) * gf = k x (e^{hx} - 1) with one division by
+n + 1 per coefficient.  Every such division is an exact ``ZZ.divide``, which
+raises ``NonDivisibleError`` on a remainder, so neither route assumes the
+result is integral: each division checks it.  ``certify`` runs the
+integrality argument end to end and records every step in a
+machine-checkable certificate.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial
 from operator import mul
 
 from .fixpoint import solve_tree_series
-from .rings import QQ, ZZ, binomial_rows, int_convolve, int_quotient, numerators
+from .rings import QQ, ZZ, binomial_rows, int_convolve, numerators
 from .series import EgfSeries, IntegralityReport, SeriesError, check_order
 
 _ONE_HALF = Fraction(1, 2)
@@ -44,29 +46,35 @@ def bernoulli_poly_at(n: int, q) -> Fraction:
 
 
 def m_series(h: int, k: int, order: int) -> EgfSeries:
-    """k x (e^{hx} - 1)/(e^{kx} - 1); coefficient n is M_n(h, k).
+    """k x (e^{hx} - 1)/(e^{kx} - 1) over ZZ; coefficient n is M_n(h, k).
 
-    The quotient of k (e^{hx} - 1), the integers [0, k h, k h^2, ...], by
-    (e^{kx} - 1)/x, whose EGF coefficients are k^{n+1}/(n+1).  Both are
-    scaled by L = lcm(1..order+1), which makes the divisor the integers
-    k^{n+1} L/(n+1), so one ``int_quotient`` gives the series.  Valid for
-    any nonzero integer k: that divisor has constant term k L, nonzero.
+    Coefficient n + 1 of (e^{kx} - 1) * gf = k x (e^{hx} - 1) reads
+    sum_{j<=n} C(n+1, j) k^{n+1-j} gf_j = (n+1) k (h^n - [n = 0]).  Its
+    term j = n is (n+1) k gf_n, so gf_0 = 0 and, for n >= 1,
+    gf_n = h^n - S_n / (n+1) with S_n = sum_{j<n} C(n+1, j) k^{n-j} gf_j:
+    one ``ZZ.divide`` per coefficient, which raises on a remainder.  Valid
+    for any nonzero integer k.
     """
     if k == 0:
         raise SeriesError("k must be nonzero")
     check_order(order)
-    common = lcm(*range(1, order + 2))
-    num = [0] + [common * k * h**n for n in range(1, order + 1)]
-    den = [k ** (n + 1) * (common // (n + 1)) for n in range(order + 1)]
-    return EgfSeries(QQ, int_quotient(num, den))
+    rows = binomial_rows(order + 1)
+    k_rev = [k**e for e in range(order, 0, -1)]  # k^order, ..., k^1
+    gf = [0]
+    for n in range(1, order + 1):
+        # the products stop at len(gf) = n, so j < n; k_rev[order - n:] is
+        # k^n, k^{n-1}, ...
+        s = sum(map(mul, map(mul, rows[n + 1], gf), k_rev[order - n:]))
+        gf.append(h**n - ZZ.divide(s, n + 1))
+    return EgfSeries._of(ZZ, gf)
 
 
-def m_direct(n: int, h: int, k: int) -> Fraction:
+def m_direct(n: int, h: int, k: int) -> int:
     """M_n(h,k) = k^n (B_n(h/k) - B_n), computed without any series division."""
     return m_direct_values(h, k, n)[n]
 
 
-def m_direct_values(h: int, k: int, order: int) -> list[Fraction]:
+def m_direct_values(h: int, k: int, order: int) -> list[int]:
     """[M_0(h,k), ..., M_order(h,k)] from the Bernoulli numbers, with no
     series division.
 
@@ -75,7 +83,8 @@ def m_direct_values(h: int, k: int, order: int) -> list[Fraction]:
     M_n = k^n (B_n(h/k) - B_n) = sum_{m<n} C(n,m) (k^m B_m) h^{n-m}:
     one ``int_convolve`` of [0, h, h^2, ...] against k^m b_m, where
     B_m = b_m / d over the common denominator d of the cached
-    ``bernoulli_factor``, and one division by d per coefficient.
+    ``bernoulli_factor``, and one ``ZZ.divide`` by d per coefficient, which
+    raises on a remainder.
     """
     if k == 0:
         raise SeriesError("k must be nonzero")
@@ -83,7 +92,7 @@ def m_direct_values(h: int, k: int, order: int) -> list[Fraction]:
     d, b = numerators(bernoulli_factor(order).coeffs)
     kb = [b_m * k**m for m, b_m in enumerate(b)]
     h_powers = [0] + [h**n for n in range(1, order + 1)]
-    return [Fraction(s, d) for s in int_convolve(h_powers, kb)]
+    return [ZZ.divide(s, d) for s in int_convolve(h_powers, kb)]
 
 
 def reduction_factor(h: int, k: int, order: int) -> EgfSeries:
@@ -93,8 +102,8 @@ def reduction_factor(h: int, k: int, order: int) -> EgfSeries:
     For k > 0, Q = (e^{hx} - 1)/(e^x - 1): the sum of e^{jx} over
     j = 0..h-1 for h > 0, minus the sum over j = h..-1 for h < 0, and 0 for
     h = 0.  For k < 0, gf(h, k) = e^{|k|x} gf(h, |k|), so every j shifts by
-    |k|.  Coefficient n is then the integer sum of +-(j + s)^n, s = |k| or 0.
-    Returned over QQ, the ring of the ``m_series`` it multiplies.
+    |k|.  Coefficient n is then the integer sum of +-(j + s)^n, s = |k| or 0,
+    so Q is returned over ZZ.
     """
     if k == 0:
         raise SeriesError("k must be nonzero")
@@ -107,7 +116,7 @@ def reduction_factor(h: int, k: int, order: int) -> EgfSeries:
     for _ in range(order + 1):
         coeffs.append(sign * sum(powers))
         powers = list(map(mul, powers, bases))
-    return EgfSeries(QQ, coeffs)
+    return EgfSeries._of(ZZ, coeffs)
 
 
 def inverse_tree_series(k: int, order: int) -> EgfSeries:
@@ -214,22 +223,26 @@ def certify(h: int, k: int, order: int, inject_fault: str | None = None) -> Inte
          algebraic series |k| x log(1+x)/((1+x)^{|k|} - 1), both over ZZ.
       4. subst-exp: substituting e^x - 1 into the inverse gives gf(1,|k|),
          and the result is integral.
-      5. final-equality: Q * gf(1,|k|) = gf(h,k), every M_n is an integer,
-         and both computation routes agree coefficient by coefficient.
+      5. final-equality: Q * gf(1,|k|) = gf(h,k), and both computation
+         routes agree coefficient by coefficient.
 
     Step 1 is integral by construction; that Q is the quotient
     gf(h,k)/gf(1,|k|) is checked by step 5's product, which reads
-    Q_0..Q_{N-1}, every coefficient that M_0..M_N depend on.  Steps 2-4 run
-    over ZZ; step 4 compares with the QQ series gf(1,|k|) through
-    ``over(QQ)``.  A is integral by construction: Phi has integer
-    coefficients and the online steps never divide.  Step 3 is integral
-    because its divisions by m! are exact ``ZZ.divide`` calls, which raise
-    on a remainder; step 4 is integral by construction, each coefficient an
-    integer combination (Stirling numbers of the second kind) of the
-    inverse's.
+    Q_0..Q_{N-1}, every coefficient that M_0..M_N depend on.  Every step runs
+    over ZZ, so step 4 compares g with gf(1,|k|) directly.  A is integral by
+    construction: Phi has integer coefficients and the online steps never
+    divide.  Step 3 is integral because its divisions by m! are exact
+    ``ZZ.divide`` calls, which raise on a remainder; step 4 is integral by
+    construction, each coefficient an integer combination (Stirling numbers
+    of the second kind) of the inverse's.  That every M_n is an integer
+    rests on the same kind of division: ``m_series`` divides by n + 1 and
+    ``m_direct_values`` by the Bernoulli denominator, each an exact
+    ``ZZ.divide``, so a non-integral M_n raises ``NonDivisibleError``.
 
     ``inject_fault`` adds 1/2 to one coefficient of the named step's series,
-    lifted to QQ; it exists so the refutation path is testable.
+    lifted to QQ; it exists so the refutation path is testable.  Steps 4 and
+    5 compare in the ring of that step's series, so a lifted series meets
+    its partners over QQ.
     """
     if k == 0:
         raise SeriesError("k must be nonzero")
@@ -267,7 +280,7 @@ def certify(h: int, k: int, order: int, inject_fault: str | None = None) -> Inte
     gf_base = m_series(1, ka, order)
     cert.steps.append(
         CertificateStep(
-            "subst-exp", g.integrality_report(), equality_ok=g.over(QQ) == gf_base
+            "subst-exp", g.integrality_report(), equality_ok=g == gf_base.over(g.ring)
         )
     )
 
@@ -275,8 +288,7 @@ def certify(h: int, k: int, order: int, inject_fault: str | None = None) -> Inte
     direct = m_direct_values(h, k, order)
     final_ok = (
         inject_fault != "final-equality"
-        and q * gf_base == gf_hk
-        and gf_hk.integrality_report().integral
+        and q * gf_base.over(q.ring) == gf_hk.over(q.ring)
         and list(gf_hk.coeffs) == direct
     )
     cert.steps.append(

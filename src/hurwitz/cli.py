@@ -61,16 +61,16 @@ def cmd_compute(args) -> int:
         gf = gf.with_coefficient(n, gf[n] + 1)
     if args.route == "gf":
         for n, c in enumerate(gf.coeffs):
-            print(f"{n}{sep}{render_rational(c)}")
+            print(f"{n}{sep}{c}")
         return 0
     direct = bernoulli.m_direct_values(args.h, args.k, args.order)
     if args.route == "direct":
         for n, c in enumerate(direct):
-            print(f"{n}{sep}{render_rational(c)}")
+            print(f"{n}{sep}{c}")
         return 0
     mismatch = False
     for n in range(args.order + 1):
-        print(f"{n}{sep}{render_rational(gf[n])}{sep}{render_rational(direct[n])}")
+        print(f"{n}{sep}{gf[n]}{sep}{direct[n]}")
         if gf[n] != direct[n]:
             mismatch = True
     return MISMATCH if mismatch else 0

@@ -9,8 +9,10 @@ each full-size entry once.
 
 Checks whose values are integers run over ZZ, where every division is an
 exact ``ZZ.divide`` that raises on a remainder: hurwitz-closure, the tree
-series and its inverse, and general-k-integrality's exp form.  QQ is kept
-where the values are rational, as in the M_n(h,k) routes.
+series and its inverse, general-k-integrality's exp form, and the
+M_n(h,k) routes of theorem-sweep and genocchi-tri-route.  theorem-sweep
+and hurwitz-closure catch that ``NonDivisibleError`` and fail.  QQ is kept
+where the values are rational: the Genocchi oracle's series division.
 """
 
 from __future__ import annotations
@@ -28,43 +30,41 @@ from .series import EgfSeries
 
 
 def check_theorem_sweep(hk_bound: int = 8, order: int = 32) -> bool:
-    """Three routes to M_n(h,k) agree and are integral over the whole grid:
-    the paper's proof route Q * G_|k|, ``m_series`` and ``m_direct_values``.
+    """Three routes to M_n(h,k) agree over the whole grid: the paper's proof
+    route Q * G_|k|, ``m_series`` and ``m_direct_values``, all over ZZ.
 
     G_K = (K-tree series)^{-1} o (e^x - 1) is solved once per K over ZZ, and
     Q is the closed-form reduction factor, so the proof route shares no code
-    with ``m_series``."""
-    base = {
-        ka: solve_tree_series(ka, order).comp_inverse().subst_exp_minus_one().over(QQ)
-        for ka in range(1, hk_bound + 1)
-    }
-    for h in range(-hk_bound, hk_bound + 1):
-        for k in range(-hk_bound, hk_bound + 1):
-            if k == 0:
-                continue
-            gf = bernoulli.m_series(h, k, order)
-            direct = bernoulli.m_direct_values(h, k, order)
-            if list(gf.coeffs) != direct:
-                return False
-            if not gf.integrality_report().integral:
-                return False
-            q = bernoulli.reduction_factor(h, k, order)
-            if not q.integrality_report().integral:
-                return False
-            if q * base[abs(k)] != gf:
-                return False
+    with ``m_series``.  Integrality needs no separate check: each route's
+    divisions are exact, and a remainder fails the check."""
+    try:
+        base = {
+            ka: solve_tree_series(ka, order).comp_inverse().subst_exp_minus_one()
+            for ka in range(1, hk_bound + 1)
+        }
+        for h in range(-hk_bound, hk_bound + 1):
+            for k in range(-hk_bound, hk_bound + 1):
+                if k == 0:
+                    continue
+                gf = bernoulli.m_series(h, k, order)
+                if list(gf.coeffs) != bernoulli.m_direct_values(h, k, order):
+                    return False
+                if bernoulli.reduction_factor(h, k, order) * base[abs(k)] != gf:
+                    return False
+    except NonDivisibleError:
+        return False
     return True
 
 
 def check_genocchi_tri_route(order: int = 16) -> bool:
-    """gf(1,2) = subst(inverse of A2) = subst(direct algebraic inverse),
-    all equal to the independent 2x/(e^x+1) division."""
+    """gf(1,2) = subst(inverse of A2) = subst(direct algebraic inverse), all
+    over ZZ, and equal to the independent 2x/(e^x+1) division over QQ."""
     gf = bernoulli.m_series(1, 2, order)
     a2 = solve_tree_series(2, order)
-    via_inverse = a2.comp_inverse().subst_exp_minus_one().over(QQ)
-    via_algebraic = bernoulli.inverse_tree_series(2, order).subst_exp_minus_one().over(QQ)
+    via_inverse = a2.comp_inverse().subst_exp_minus_one()
+    via_algebraic = bernoulli.inverse_tree_series(2, order).subst_exp_minus_one()
     oracle = bernoulli.genocchi_oracle(order)
-    return gf == via_inverse == via_algebraic == oracle
+    return gf == via_inverse == via_algebraic and gf.over(QQ) == oracle
 
 
 def check_tree_oracle(max_n: int = 12) -> bool:

@@ -18,8 +18,9 @@ from hurwitz.bernoulli import (
     m_series,
     reduction_factor,
 )
+from hurwitz.cli import main
 from hurwitz.fixpoint import solve_tree_series
-from hurwitz.rings import QQ
+from hurwitz.rings import QQ, ZZ, NonDivisibleError, render_rational
 from hurwitz.series import EgfSeries, SeriesError
 
 F = Fraction
@@ -27,9 +28,9 @@ F = Fraction
 
 def reference_reduction_factor(h, k, order):
     """Test oracle for ``reduction_factor``: Q as the QQ quotient
-    gf(h,k)/gf(1,|k|), by series division."""
-    gf_hk = m_series(h, k, order + 1)
-    gf_base = m_series(1, abs(k), order + 1)
+    gf(h,k)/gf(1,|k|), by series division of the Fraction chains."""
+    gf_hk = reference_m_series(h, k, order + 1)
+    gf_base = reference_m_series(1, abs(k), order + 1)
     return gf_hk.div_by_x() * gf_base.div_by_x().reciprocal()
 
 
@@ -47,8 +48,8 @@ def reference_inverse_tree_series(k, order):
 
 def reference_m_series(h, k, order):
     """Test oracle for ``m_series``: the Fraction series chain that computed
-    it before the one integer quotient, k x (e^{hx} - 1)/(e^{kx} - 1) as a
-    product with a series reciprocal."""
+    it over QQ, k x (e^{hx} - 1)/(e^{kx} - 1) as a product with a series
+    reciprocal."""
     num = EgfSeries.exp_line(h, order) - EgfSeries.one(order)
     den = EgfSeries.exp_line(k, order + 1) - EgfSeries.one(order + 1)
     return (num * den.div_by_x().reciprocal()).scale(k)
@@ -56,8 +57,8 @@ def reference_m_series(h, k, order):
 
 def reference_m_direct_values(h, k, order):
     """Test oracle for ``m_direct_values``: the Fraction chain that computed
-    it before the one integer convolution, k^n (B_n(h/k) - B_n) read off the
-    Bernoulli polynomial series x e^{(h/k)x}/(e^x - 1)."""
+    it over QQ, k^n (B_n(h/k) - B_n) read off the Bernoulli polynomial
+    series x e^{(h/k)x}/(e^x - 1)."""
     poly = EgfSeries.exp_line(F(h, k), order) * bernoulli_factor(order)
     numbers = bernoulli_factor(order)
     return [k**n * (poly[n] - numbers[n]) for n in range(order + 1)]
@@ -146,7 +147,7 @@ class TestMSeries:
     def test_h_equals_k_collapses_to_kx(self):
         for k in (1, 2, -3, 5):
             gf = m_series(k, k, 6)
-            assert gf == EgfSeries.basis(1, 6).scale(k)
+            assert gf == EgfSeries.basis(1, 6, ZZ).scale(k)
 
     def test_k_zero_rejected(self):
         with pytest.raises(SeriesError):
@@ -170,23 +171,25 @@ class TestReductionFactor:
     def test_h2_k1(self):
         # x(e^{2x}-1)/(e^x-1) = x(e^x+1)
         q = reduction_factor(2, 1, 5)
-        expected = EgfSeries.exp_line(1, 5) + EgfSeries.one(5)
+        expected = EgfSeries.exp_line(1, 5, ZZ) + EgfSeries.one(5, ZZ)
         assert q == expected
 
     def test_h1_positive_k(self):
         for k in (1, 2, 5):
-            assert reduction_factor(1, k, 6) == EgfSeries.one(6)
+            assert reduction_factor(1, k, 6) == EgfSeries.one(6, ZZ)
 
     def test_negative_h(self):
         # e^{-x}-1 = -e^{-x}(e^x-1)
         q = reduction_factor(-1, 1, 5)
-        assert q == EgfSeries.exp_line(-1, 5).scale(-1)
+        assert q == EgfSeries.exp_line(-1, 5, ZZ).scale(-1)
 
     def test_reduction_identity(self):
         for h, k in [(3, 2), (-4, 3), (5, -2), (0, 6)]:
             q = reduction_factor(h, k, 10)
-            assert q.integrality_report().integral
+            assert q.ring is ZZ
             assert q * m_series(1, abs(k), 10) == m_series(h, k, 10)
+            product = q.over(QQ) * reference_m_series(1, abs(k), 10)
+            assert product == reference_m_series(h, k, 10)
 
 
 @settings(max_examples=80, deadline=None)
@@ -209,8 +212,8 @@ class TestReductionFactor:
 def test_reduction_factor_matches_quotient(h, ka, sign, order):
     k = sign * ka
     q = reduction_factor(h, k, order)
-    assert q.ring is QQ
-    assert q == reference_reduction_factor(h, k, order)
+    assert q.ring is ZZ
+    assert q.over(QQ) == reference_reduction_factor(h, k, order)
 
 
 @settings(max_examples=80, deadline=None)
@@ -230,11 +233,26 @@ def test_reduction_factor_matches_quotient(h, ka, sign, order):
 def test_m_routes_match_fraction_chains(h, ka, sign, order):
     k = sign * ka
     gf = m_series(h, k, order)
-    assert gf.ring is QQ
-    assert gf == reference_m_series(h, k, order)
+    assert gf.ring is ZZ
+    assert gf.over(QQ) == reference_m_series(h, k, order)
     direct = m_direct_values(h, k, order)
-    assert all(type(c) is Fraction for c in direct)
+    assert all(type(c) is int for c in direct)
     assert direct == reference_m_direct_values(h, k, order)
+
+
+def test_compute_prints_the_fraction_chains(capsys):
+    # the lines the CLI printed when both routes were these QQ chains,
+    # rendered by ``render_rational``
+    h, k, order = 7, -6, 40
+    gf = reference_m_series(h, k, order)
+    direct = reference_m_direct_values(h, k, order)
+    expected = "".join(
+        f"{n}\t{render_rational(gf[n])}\t{render_rational(direct[n])}\n"
+        for n in range(order + 1)
+    )
+    argv = ["compute", "--h", str(h), "--k", str(k), "--order", str(order)]
+    assert main(argv + ["--route", "both"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 class TestGenocchiRoutes:
@@ -244,10 +262,12 @@ class TestGenocchiRoutes:
     def test_tri_route(self):
         order = 12
         a2 = solve_tree_series(2, order)
-        via_inverse = a2.comp_inverse().subst_exp_minus_one().over(QQ)
-        via_algebraic = inverse_tree_series(2, order).subst_exp_minus_one().over(QQ)
+        via_inverse = a2.comp_inverse().subst_exp_minus_one()
+        via_algebraic = inverse_tree_series(2, order).subst_exp_minus_one()
         gf = m_series(1, 2, order)
-        assert gf == via_inverse == via_algebraic == genocchi_oracle(order)
+        assert gf.ring is ZZ
+        assert gf == via_inverse == via_algebraic
+        assert gf.over(QQ) == genocchi_oracle(order) == reference_m_series(1, 2, order)
 
 
 class TestInverseTreeSeries:
@@ -274,7 +294,7 @@ def test_shift_symmetry():
     # e^{hx}(e^{kx}-1)
     for h, k in [(1, 2), (3, 4), (-2, 3), (0, 5)]:
         diff = m_series(h + k, k, 10) - m_series(h, k, 10)
-        expected = EgfSeries.exp_line(h, 9).mul_by_x().scale(k)
+        expected = EgfSeries.exp_line(h, 9, ZZ).mul_by_x().scale(k)
         assert diff == expected
 
 
@@ -350,12 +370,26 @@ def wrong_direct_values(h, k, n):
         (bernoulli, "reduction_factor", wrong_reduction_factor),
         (verify, "solve_tree_series", lambda k, n: bump(solve_tree_series(k, n), n)),
         (bernoulli, "m_direct_values", wrong_direct_values),
+        (bernoulli, "m_series", lambda h, k, n: bump(m_series(h, k, n), n)),
     ],
-    ids=["reduction_factor", "solve_tree_series", "m_direct_values"],
+    ids=["reduction_factor", "solve_tree_series", "m_direct_values", "m_series"],
 )
 def test_theorem_sweep_refutes_a_wrong_route(monkeypatch, module, route, wrong):
     assert verify.check_theorem_sweep(2, 8)
     monkeypatch.setattr(module, route, wrong)
+    assert not verify.check_theorem_sweep(2, 8)
+
+
+def wrong_bernoulli_factor(order):
+    # B_2 = 1/5 in place of 1/6: M_n gains C(n,2) k^2 h^{n-2} / 30, which
+    # is not an integer, so ``m_direct_values``'s division leaves a remainder
+    return bernoulli_factor(order).with_coefficient(2, F(1, 5))
+
+
+def test_theorem_sweep_fails_on_a_remainder(monkeypatch):
+    monkeypatch.setattr(bernoulli, "bernoulli_factor", wrong_bernoulli_factor)
+    with pytest.raises(NonDivisibleError):
+        m_direct_values(1, 2, 8)
     assert not verify.check_theorem_sweep(2, 8)
 
 
