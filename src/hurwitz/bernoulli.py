@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial
 from operator import mul
 
@@ -123,37 +124,31 @@ def inverse_tree_series(k: int, order: int) -> EgfSeries:
     """k x log(1+x) / ((1+x)^k - 1) over ZZ: the algebraic form of the
     compositional inverse of the k-tree series.
 
-    With d = ((1+x)^k - 1)/x, of EGF coefficients d_n = C(k, n+1) n!, the
-    series g satisfies g * d = k log(1+x), whose coefficients are
-    l_n = k (-1)^{n-1} (n-1)! for n >= 1.  Coefficient n of that product is
-    linear in g_n with slope d_0 = k, so
-    g_n = (l_n - sum_{j<n} C(n,j) g_j d_{n-j}) / k, an exact division
-    (``ZZ.divide`` raises on a remainder).  d_i vanishes for i >= k, so the
-    sum has at most k - 1 terms.  ``certify`` compares g with the
-    order-by-order inverse.
+    It is one series division g = k log(1+x) / d, with d = ((1+x)^k - 1)/x.
+    The EGF coefficients are l_n = k (-1)^{n-1} (n-1)! for n >= 1 on top and
+    d_n = C(k, n+1) n! below, so d_0 = k and d has degree k - 1: each
+    coefficient is one exact division by k (``ZZ.divide`` raises on a
+    remainder) after at most k - 1 products.  ``certify`` compares g with
+    the order-by-order inverse.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     check_order(order)
-    rows = binomial_rows(order)
-    d = [comb(k, i + 1) * factorial(i) for i in range(k)]
-    g = [0]
-    log_n = k  # l_1 = k
-    for n in range(1, order + 1):
-        known = sum(rows[n][i] * g[n - i] * d[i] for i in range(1, min(k, n)))
-        g.append(ZZ.divide(log_n - known, k))
-        log_n *= -n  # l_{n+1} = -n l_n
-    return EgfSeries._of(ZZ, g)
+    # l_0 = 0, l_1 = k and l_{n+1} = -n l_n
+    log = [0, *accumulate(range(1, order), lambda l_n, n: -n * l_n, initial=k)][: order + 1]
+    d = [comb(k, n + 1) * factorial(n) if n < k else 0 for n in range(order + 1)]
+    return EgfSeries._of(ZZ, log) / EgfSeries._of(ZZ, d)
 
 
 def genocchi_oracle(order: int) -> EgfSeries:
-    """Genocchi numbers as 2x/(e^x + 1), by one series division.
+    """Genocchi numbers as 2x/(e^x + 1) over ZZ, by one series division.
 
-    Independent of ``m_series``'s route (which divides by (e^{kx}-1)/x), so
-    the two may check each other.
+    The divisor's constant term is 2, and each coefficient is one exact
+    ``ZZ.divide`` by it.  Independent of ``m_series``'s route (which
+    divides by (e^{kx}-1)/x), so the two may check each other.
     """
-    den = EgfSeries.exp_line(1, order) + EgfSeries.one(order)
-    return EgfSeries.basis(1, order).scale(2) / den
+    den = EgfSeries.exp_line(1, order, ZZ) + EgfSeries.one(order, ZZ)
+    return EgfSeries.basis(1, order, ZZ).scale(2) / den
 
 
 STEP_NAMES = (

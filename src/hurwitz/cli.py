@@ -11,12 +11,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from . import bernoulli, parametric
 from .bfile import BFileParseError, compare_bfile, parse_bfile
 from .fixpoint import solve_tree_series
-from .rings import render_rational
 from .series import SeriesError
 from .trees import count_alternating_trees
 
@@ -96,11 +94,11 @@ def cmd_trees(args) -> int:
     for n in range(1, args.order + 1):
         if args.oracle:
             count = count_alternating_trees(n + 1)
-            print(f"{n}\t{render_rational(a[n])}\t{count}")
+            print(f"{n}\t{a[n]}\t{count}")
             if a[n] != count:
                 mismatch = True
         else:
-            print(f"{n}\t{render_rational(a[n])}")
+            print(f"{n}\t{a[n]}")
     return MISMATCH if mismatch else 0
 
 
@@ -111,7 +109,7 @@ def cmd_drake(args) -> int:
     if args.specialize == "k2":
         k2 = parametric.specialize_k2(series)
         for n in range(1, args.order + 1):
-            print(f"{n}\t{render_rational(k2[n])}")
+            print(f"{n}\t{k2[n]}")
         return 0
     for n in range(1, args.order + 1):
         print(f"n={n}: {series[n].render()}")
@@ -166,7 +164,7 @@ def cmd_bfile_check(args) -> int:
         return 0
     print(
         f"MISMATCH at b-file index {result.first_mismatch_index}: "
-        f"expected {result.expected}, got {render_rational(Fraction(result.actual))}"
+        f"expected {result.expected}, got {result.actual}"
     )
     return MISMATCH
 

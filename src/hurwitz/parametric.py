@@ -56,25 +56,17 @@ def inverse_monomial_coefficient(a1: int, a2: int, d1: int, d2: int) -> int:
 def parametric_inverse_series(order: int) -> EgfSeries:
     """EGF expansion of the logarithmic inverse, with MultiPoly coefficients.
 
-    Writing the series as G with ((cross) x + e) G = log-numerator, the EGF
-    product rule gives e G_n = L_n - n (cross) G_{n-1}, and each G_n is
-    obtained by exact division by e.
+    One series division G = L / ((cross) x + e), with L the log numerator.
+    The divisor has degree 1, so the back-substitution is
+    e G_n = L_n - n (cross) G_{n-1}, and each G_n is one exact division by e.
     """
     check_order(order)
-    coeffs = [POLY.zero]
-    prev = POLY.zero
+    powers = [EgfSeries.exp_line(c, order, POLY) for c in (A1, B2, A2, B1)]
+    sums = powers[0] + powers[1] - powers[2] - powers[3]
     # log(1 + c x) has EGF coefficient (-1)^{n-1} (n-1)! c^n
-    pow_a1, pow_a2, pow_b1, pow_b2 = POLY.one, POLY.one, POLY.one, POLY.one
-    for n in range(1, order + 1):
-        pow_a1, pow_a2 = pow_a1 * A1, pow_a2 * A2
-        pow_b1, pow_b2 = pow_b1 * B1, pow_b2 * B2
-        log_n = ((-1) ** (n - 1) * factorial(n - 1)) * (
-            pow_a1 + pow_b2 - pow_a2 - pow_b1
-        )
-        g_n = (log_n - n * CROSS * prev).exact_div(LINEAR)
-        coeffs.append(g_n)
-        prev = g_n
-    return EgfSeries._of(POLY, coeffs)
+    log = [POLY.zero] + [(-1) ** (n - 1) * factorial(n - 1) * sums[n] for n in range(1, order + 1)]
+    denominator = [LINEAR, CROSS] + [POLY.zero] * (order - 1)
+    return EgfSeries._of(POLY, log) / EgfSeries._of(POLY, denominator[: order + 1])
 
 
 def parametric_phi() -> PhiSpec:

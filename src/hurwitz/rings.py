@@ -5,33 +5,33 @@ Three coefficient rings are provided behind a common contract: Q
 (``RationalRing``), Z (``IntegerRing``, Python ints) and Z[a1,a2,b1,b2]
 (``PolyRing``, sparse polynomials with integer coefficients from
 :mod:`hurwitz.poly`).  The series engine in :mod:`hurwitz.series` is generic
-over all three, except series division (and so the reciprocal and log),
-whose kernel ``quotient`` only ``RationalRing`` provides.  Over Z and
-Z[a1,a2,b1,b2] ``divide`` is exact and raises ``NonDivisibleError`` on a
-remainder, so a Hurwitz series computed there is integral by construction.
+over all three, series division included.  Over Z and Z[a1,a2,b1,b2]
+``divide`` is exact and raises ``NonDivisibleError`` on a remainder, so a
+Hurwitz series computed there is integral by construction.
 
 The contract holds only what the elements cannot do themselves: ``name``,
-``zero``, ``one``, ``coerce``, ``is_unit``, ``is_integral``, ``divide``,
-``convolve`` and ``render``, plus ``quotient`` over Q.  Elements of every
-ring add, multiply, take int scalars and compare with the ints 0 and 1
-through ``==``, so ``scale(2)`` and ``c == 0`` need no ring method.
+``zero``, ``one``, ``coerce``, ``is_integral``, ``divide``, ``convolve``,
+``quotient`` and ``render``.  Elements of every ring add, multiply, take int
+scalars and compare with the ints 0 and 1 through ``==``, so ``scale(2)``
+and ``c == 0`` need no ring method.
 
-The contract also owns the O(n^2) series kernel ``convolve`` (the EGF
-product): ``int_convolve`` over Z, the same loop on integer numerators over
-a common denominator over Q, and term by term over Z[a1,a2,b1,b2].  Over Q,
-``quotient`` (g with c * g = b) scales b and c to integer numerators and
-runs ``int_quotient``, the triangular back-substitution on integers with a
-running common denominator and one Fraction per output coefficient.  Every
-kernel, and the term-by-term ``product_coefficient``, reads its binomial
-coefficients from one shared table of Pascal rows (``binomial_rows``), grown
-to the largest order asked for and never rebuilt.
+The contract also owns the two O(n^2) series kernels.  ``convolve`` is the
+EGF product: ``int_convolve`` over Z, the same loop on integer numerators
+over a common denominator over Q, and term by term over Z[a1,a2,b1,b2].
+``quotient`` is the g with c * g = b: ``exact_quotient`` over Z and
+Z[a1,a2,b1,b2], and over Q ``int_quotient``, the same back-substitution on
+integer numerators with a running common denominator.  Every kernel reads
+its binomial coefficients from one shared table of Pascal rows
+(``binomial_rows``), grown to the largest order asked for.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from itertools import islice
 from math import lcm
-from operator import add, mul
+from operator import add, mul, sub
 
 from .poly import VARIABLES, MultiPoly, NonDivisibleError, as_poly  # noqa: F401  (re-exports)
 
@@ -104,6 +104,24 @@ def int_quotient(b, c) -> list[Fraction]:
     return g
 
 
+def exact_quotient(ring, b, c) -> list:
+    """g with c * g = b, bound as ``quotient`` on ZZ and POLY:
+    g_n = (b_n - sum_{1<=i<=min(n,d)} C(n,i) c_i g_{n-i}) / c_0 by the ring's
+    exact ``divide``, which raises on a remainder.  d is the degree of c, so
+    a polynomial divisor costs O(dN)."""
+    d = len(c) - 1
+    while d and c[d] == 0:
+        d -= 1
+    c0, tail = c[0], c[1 : d + 1]
+    rows = binomial_rows(len(b) - 1)
+    g = []
+    for n, b_n in enumerate(b):
+        # C(n,i) c_i g_{n-i} for i = 1, 2, ..., stopping at min(n, d) terms
+        known = map(mul, map(mul, islice(rows[n], 1, None), tail), reversed(g))
+        g.append(ring.divide(reduce(sub, known, b_n), c0))
+    return g
+
+
 def product_coefficient(f, g, n: int, ring):
     """Coefficient n of the EGF product of coefficient lists f and g, in the
     ring's own arithmetic."""
@@ -137,9 +155,6 @@ class RationalRing:
 
     def coerce(self, c) -> Fraction:
         return _as_fraction(c)
-
-    def is_unit(self, c) -> bool:
-        return c != 0
 
     def is_integral(self, c) -> bool:
         return _as_fraction(c).denominator == 1
@@ -178,7 +193,7 @@ class IntegerRing:
     """Coefficient-ring contract over Python ints: Z.
 
     ``coerce`` accepts only ints (a ``Fraction`` is rejected even when its
-    denominator is 1), the units are 1 and -1, and ``divide`` is exact.
+    denominator is 1), and ``divide`` is exact.
     """
 
     name = "Z"
@@ -187,9 +202,6 @@ class IntegerRing:
     one = 1
 
     coerce = staticmethod(_as_int)
-
-    def is_unit(self, c) -> bool:
-        return c == 1 or c == -1
 
     def is_integral(self, c) -> bool:
         _as_int(c)
@@ -203,6 +215,7 @@ class IntegerRing:
         return q
 
     convolve = staticmethod(int_convolve)
+    quotient = exact_quotient
 
     def render(self, c) -> str:
         return str(_as_int(c))
@@ -218,10 +231,6 @@ class PolyRing:
 
     coerce = staticmethod(as_poly)
 
-    def is_unit(self, c) -> bool:
-        c = as_poly(c)
-        return c == 1 or c == -1
-
     def is_integral(self, c) -> bool:
         as_poly(c)  # the coefficients are ints by construction
         return True
@@ -233,6 +242,8 @@ class PolyRing:
     def convolve(self, f, g) -> list[MultiPoly]:
         """(fg)_n = sum_j C(n,j) f_j g_{n-j} for equal-length f and g."""
         return [product_coefficient(f, g, n, self) for n in range(len(f))]
+
+    quotient = exact_quotient
 
     def render(self, c) -> str:
         return as_poly(c).render()

@@ -5,6 +5,10 @@ sum c_n x^n / n!.  With this normalization the product is a binomial
 convolution and "all coefficients are integers" is literally "every c_n has
 denominator 1", which is the predicate the whole package certifies.
 
+Every operation runs in every coefficient ring.  Division, and so the
+reciprocal and log, is the ring's ``quotient`` kernel; over ZZ and POLY it
+divides exactly, as ``compose`` and ``comp_inverse`` do.
+
 All operations are pure and check ring/order compatibility; nothing truncates
 silently.
 """
@@ -168,13 +172,11 @@ class EgfSeries:
         return EgfSeries._of(self.ring, self.ring.convolve(self.coeffs, other.coeffs))
 
     def __truediv__(self, other):
-        """g with other * g = self, by the coefficient ring's ``quotient``,
-        which only QQ provides: over Z and Z[a1,a2,b1,b2] it raises."""
+        """g with other * g = self, by the coefficient ring's ``quotient``:
+        over ZZ and POLY a remainder raises ``NonDivisibleError``."""
         self._check(other)
-        if not hasattr(self.ring, "quotient"):
-            raise SeriesError(f"no series reciprocal over {self.ring.name}")
-        if not self.ring.is_unit(other.coeffs[0]):
-            raise SeriesError("constant term is not a unit")
+        if other.coeffs[0] == 0:
+            raise SeriesError("division by a series with constant term 0")
         return EgfSeries._of(self.ring, self.ring.quotient(self.coeffs, other.coeffs))
 
     def reciprocal(self):
@@ -229,18 +231,19 @@ class EgfSeries:
         by order.
 
         Expanding g(f) = sum_m g_m f^m / m!, coefficient n of the equation
-        g(f) = x is linear in g_n with slope f_1^n, a unit, so g_n is one
-        ``ring.divide`` by it; the powers of f are computed once up front.  Each coefficient of f^m is divided by m!
-        with ``ring.divide``, exactly over ZZ and POLY: f^m / m! is a Hurwitz
-        series when f is one with constant term 0.
+        g(f) = x is linear in g_n with slope f_1^n, so g_n is one
+        ``ring.divide`` by it; the powers of f are computed once up front.
+        Each coefficient of f^m is divided by m! with ``ring.divide``, exactly
+        over ZZ and POLY: f^m / m! is a Hurwitz series when f is one with
+        constant term 0.  There, f_1 other than 1 or -1 may leave a remainder.
         """
         ring = self.ring
         if self.order < 1:
             raise SeriesError(f"compositional inverse needs order >= 1, got {self.order}")
         if self.coeffs[0] != 0:
             raise SeriesError("compositional inverse requires constant term 0")
-        if not ring.is_unit(self.coeffs[1]):
-            raise SeriesError("compositional inverse requires unit linear term")
+        if self.coeffs[1] == 0:
+            raise SeriesError("compositional inverse requires nonzero linear term")
         order = self.order
         powers = [EgfSeries.one(order, ring)]
         for _ in range(order):

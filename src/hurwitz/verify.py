@@ -9,10 +9,10 @@ each full-size entry once.
 
 Checks whose values are integers run over ZZ, where every division is an
 exact ``ZZ.divide`` that raises on a remainder: hurwitz-closure, the tree
-series and its inverse, general-k-integrality's exp form, and the
-M_n(h,k) routes of theorem-sweep and genocchi-tri-route.  theorem-sweep
-and hurwitz-closure catch that ``NonDivisibleError`` and fail.  QQ is kept
-where the values are rational: the Genocchi oracle's series division.
+series and its inverse, general-k-integrality's exp form, the M_n(h,k)
+routes of theorem-sweep, and all four routes of genocchi-tri-route, the
+Genocchi oracle's series division included.  theorem-sweep and
+hurwitz-closure catch that ``NonDivisibleError`` and fail.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable
 
 from . import bernoulli, parametric, trees
 from .fixpoint import solve_tree_series, verify_exp_form, verify_postnikov_form
-from .rings import POLY, QQ, ZZ, NonDivisibleError
+from .rings import POLY, ZZ, NonDivisibleError
 from .series import EgfSeries
 
 
@@ -57,14 +57,14 @@ def check_theorem_sweep(hk_bound: int = 8, order: int = 32) -> bool:
 
 
 def check_genocchi_tri_route(order: int = 16) -> bool:
-    """gf(1,2) = subst(inverse of A2) = subst(direct algebraic inverse), all
-    over ZZ, and equal to the independent 2x/(e^x+1) division over QQ."""
+    """gf(1,2) = subst(inverse of A2) = subst(direct algebraic inverse) =
+    the independent 2x/(e^x+1) division, all over ZZ."""
     gf = bernoulli.m_series(1, 2, order)
     a2 = solve_tree_series(2, order)
     via_inverse = a2.comp_inverse().subst_exp_minus_one()
     via_algebraic = bernoulli.inverse_tree_series(2, order).subst_exp_minus_one()
     oracle = bernoulli.genocchi_oracle(order)
-    return gf == via_inverse == via_algebraic and gf.over(QQ) == oracle
+    return gf == via_inverse == via_algebraic == oracle
 
 
 def check_tree_oracle(max_n: int = 12) -> bool:

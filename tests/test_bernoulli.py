@@ -267,7 +267,8 @@ class TestGenocchiRoutes:
         gf = m_series(1, 2, order)
         assert gf.ring is ZZ
         assert gf == via_inverse == via_algebraic
-        assert gf.over(QQ) == genocchi_oracle(order) == reference_m_series(1, 2, order)
+        assert gf == genocchi_oracle(order)
+        assert gf.over(QQ) == reference_m_series(1, 2, order)
 
 
 class TestInverseTreeSeries:

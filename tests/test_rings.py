@@ -19,11 +19,21 @@ from hurwitz.rings import (
     product_coefficient,
     render_rational,
 )
+from hurwitz.series import EgfSeries
 
 A1 = MultiPoly.variable("a1")
 A2 = MultiPoly.variable("a2")
 B1 = MultiPoly.variable("b1")
 B2 = MultiPoly.variable("b2")
+
+
+# what the elements cannot do themselves; every ring provides exactly this
+CONTRACT = {"name", "zero", "one", "coerce", "is_integral", "divide", "convolve", "quotient", "render"}
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ, POLY], ids=lambda ring: ring.name)
+def test_ring_contract(ring):
+    assert {attr for attr in dir(ring) if not attr.startswith("_")} == CONTRACT
 
 
 class TestRational:
@@ -53,8 +63,18 @@ class TestInteger:
             ZZ.coerce(value)
 
     def test_units(self):
-        assert ZZ.is_unit(1) and ZZ.is_unit(-1)
-        assert not ZZ.is_unit(2) and not ZZ.is_unit(0)
+        # a series is invertible over Z exactly when its constant term is a
+        # unit, and compositionally when its linear term is: 1 and -1 divide
+        # every step, 2 leaves a remainder
+        for unit in (1, -1):
+            f = EgfSeries(ZZ, [unit, 3, -5, 7])
+            assert f * f.reciprocal() == EgfSeries.one(3, ZZ)
+            g = EgfSeries(ZZ, [0, unit, -5, 7])
+            assert g.compose(g.comp_inverse()) == EgfSeries.basis(1, 3, ZZ)
+        with pytest.raises(NonDivisibleError):
+            EgfSeries(ZZ, [2, 3, -5, 7]).reciprocal()
+        with pytest.raises(NonDivisibleError):
+            EgfSeries(ZZ, [0, 2, -5, 7]).comp_inverse()
 
     def test_integral_and_render(self):
         assert ZZ.is_integral(-17)

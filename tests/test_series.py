@@ -87,19 +87,20 @@ class TestReciprocal:
         with pytest.raises(SeriesError):
             EgfSeries.basis(1, 3).reciprocal()
 
-    def test_poly_is_rational_only(self):
+    def test_poly_reciprocal_and_log(self):
+        # 1/(1+x) has EGF coefficients (-1)^n n!, log(1+x) has (-1)^{n-1} (n-1)!
         one_plus_x = EgfSeries(POLY, [1, 1, 0, 0])
-        with pytest.raises(SeriesError, match="no series reciprocal over Z"):
-            one_plus_x.reciprocal()
-        with pytest.raises(SeriesError, match="no series reciprocal over Z"):
-            one_plus_x.log()
+        assert one_plus_x.reciprocal() == EgfSeries(POLY, [1, -1, 2, -6])
+        assert one_plus_x.log() == EgfSeries(POLY, [0, 1, -1, 2])
 
-    def test_integer_is_rational_only(self):
-        one_plus_x = EgfSeries(ZZ, [1, 1, 0, 0])
-        with pytest.raises(SeriesError, match=r"no series reciprocal over Z$"):
-            one_plus_x.reciprocal()
-        with pytest.raises(SeriesError, match=r"no series reciprocal over Z$"):
-            one_plus_x.log()
+    def test_integer_reciprocal_and_log(self):
+        order = 20
+        one_plus_x = EgfSeries(ZZ, [1, 1] + [0] * (order - 1))
+        log = one_plus_x.log()
+        assert log.ring is ZZ
+        assert log.coeffs == (0, *((-1) ** (n - 1) * factorial(n - 1) for n in range(1, order + 1)))
+        e = EgfSeries.exp_line(1, order, ZZ)
+        assert e.reciprocal() == EgfSeries.exp_line(-1, order, ZZ)
 
 
 class TestDivByX:
@@ -305,7 +306,7 @@ def test_closure_check_returns_false_on_a_remainder(monkeypatch):
 # reference_convolve and reference_reciprocal are the Fraction loops that ran
 # EgfSeries.__mul__ and EgfSeries.reciprocal before QQ.convolve and the
 # triangular division moved to integer numerators; they are kept as the test
-# oracle.  QQ.quotient(b, c), the one division kernel, is checked against the
+# oracle.  QQ.quotient(b, c), the QQ division kernel, is checked against the
 # reciprocal-then-product reference_convolve(b, reference_reciprocal(c)).
 
 
@@ -399,9 +400,9 @@ def test_qq_reciprocal_zero_constant_raises(pair):
     c = [F(0)] + c[1:]
     with pytest.raises(ZeroDivisionError):
         QQ.quotient(b, c)
-    with pytest.raises(SeriesError, match="not a unit"):
+    with pytest.raises(SeriesError, match="constant term 0"):
         qs(*c).reciprocal()
-    with pytest.raises(SeriesError, match="not a unit"):
+    with pytest.raises(SeriesError, match="constant term 0"):
         qs(*b) / qs(*c)
 
 
@@ -561,6 +562,103 @@ def test_poly_divide_raises_on_remainder():
     assert exc.value.remainder == -3 * b2
 
 
+# -- the exact division kernel over ZZ and POLY --------------------------------
+#
+# ZZ.quotient and POLY.quotient are ``exact_quotient``: one back-substitution
+# that divides by c_0 with the ring's exact ``divide`` and skips the zero tail
+# of c.  The QQ division is the reference, over ZZ directly and over POLY at
+# rational points.
+
+
+def with_degree(ring, c0, tail, degree):
+    """The divisor c_0 + sum_{1<=i<=degree} tail_i x^i/i! of order
+    len(tail), zero past ``degree``."""
+    order = len(tail)
+    return EgfSeries(ring, [c0, *tail[:degree], *[ring.zero] * (order - degree)])
+
+
+big_ints = st.integers(-(2**40), 2**40)
+
+
+def zz_division_args(order):
+    # c_0 covers units, negative non-units and large values
+    return st.tuples(
+        st.integers(-12, 12).filter(bool) | big_ints.filter(bool),
+        st.lists(big_ints, min_size=order, max_size=order),
+        st.integers(0, order),
+        st.lists(big_ints, min_size=order + 1, max_size=order + 1),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 30).flatmap(zz_division_args))
+@example((-6, [5, 0, 0, 0], 1, [3, 0, -1, 7, 2]))
+@example((4, [1, 2, 3, 4, 5, 6], 6, [1, 1, 1, 1, 1, 1, 1]))
+def test_zz_quotient_inverts_product(args):
+    c0, tail, degree, g = args
+    c, g = with_degree(ZZ, c0, tail, degree), EgfSeries(ZZ, g)
+    b = c * g
+    assert b / c == g
+    assert b.over(QQ) / c.over(QQ) == g.over(QQ)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 20).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(-9, 9), min_size=n + 1, max_size=n + 1),
+            st.lists(st.integers(-9, 9), min_size=n + 1, max_size=n + 1),
+        )
+    ),
+    st.integers(-9, 9).filter(bool),
+)
+def test_zz_quotient_raises_exactly_when_qq_quotient_is_not_integral(pair, c0):
+    # c_0 = +-1 always divides; otherwise the first non-integral QQ coefficient
+    # is where the ZZ back-substitution meets its remainder
+    b, c = EgfSeries(ZZ, pair[0]), EgfSeries(ZZ, [c0, *pair[1][1:]])
+    expected = b.over(QQ) / c.over(QQ)
+    if expected.integrality_report().integral:
+        assert (b / c).over(QQ) == expected
+    else:
+        with pytest.raises(NonDivisibleError):
+            b / c
+
+
+nonzero_polys = small_polys.filter(lambda p: p != 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda n: st.tuples(
+            nonzero_polys,
+            st.lists(small_polys, min_size=n, max_size=n),
+            st.integers(0, n),
+            poly_series(n),
+        )
+    ),
+    points,
+)
+@example(
+    (MultiPoly.constant(-6), [MultiPoly.variable("a1"), POLY.zero], 1, EgfSeries(POLY, [1, 2, 3])),
+    {v: F(1) for v in ("a1", "a2", "b1", "b2")},
+)
+def test_poly_quotient_inverts_product(args, point):
+    c0, tail, degree, g = args
+    c = with_degree(POLY, c0, tail, degree)
+    b = c * g
+    assert b / c == g
+    if c0.evaluate(point) != 0:
+        assert at_point(b, point) / at_point(c, point) == at_point(g, point)
+    if c0 == 1 or c0 == -1:
+        return
+    # c_0 does not divide 1, so a unit more in the last coefficient leaves a
+    # remainder at the last step
+    bumped = b.with_coefficient(b.order, b[b.order] + 1)
+    with pytest.raises(NonDivisibleError):
+        bumped / c
+
+
 # -- subst_exp_minus_one against compose --------------------------------------
 #
 # subst_exp_minus_one sums Stirling numbers of the second kind; before that it
@@ -635,11 +733,11 @@ def kernel_outputs(ring, f, g):
         "exp": inner.exp(),
         "subst_exp_minus_one": f.subst_exp_minus_one(),
     }
-    if ring is QQ:  # series division is rational only
-        unit = f.with_coefficient(0, F(-3, 2))
-        outputs["truediv"] = g / unit
-        outputs["reciprocal"] = unit.reciprocal()
-        outputs["log"] = f.with_coefficient(0, ring.one).log()
+    # -1 divides every element of Z and Z[a1,a2,b1,b2], so the division is exact
+    unit = f.with_coefficient(0, F(-3, 2) if ring is QQ else -1)
+    outputs["truediv"] = g / unit
+    outputs["reciprocal"] = unit.reciprocal()
+    outputs["log"] = f.with_coefficient(0, ring.one).log()
     return outputs
 
 
@@ -685,12 +783,12 @@ def test_constant_term_guards(ring):
     assert verify_exp_form(x, 2) is False
     if ring is POLY:
         assert verify_functional_equation(x) is False
+    with pytest.raises(SeriesError, match="division by a series with constant term 0"):
+        EgfSeries.one(3, ring) / x
+    with pytest.raises(SeriesError, match="compositional inverse requires nonzero linear term"):
+        x.with_coefficient(1, ZERO_CONSTANTS[ring]).comp_inverse()
     one_plus_x = x.with_coefficient(0, ONE_CONSTANTS[ring])
-    if ring is QQ:
-        assert one_plus_x.log().coeffs == (0, 1, -1, 2)
-    else:  # past the guard, division is rational only
-        with pytest.raises(SeriesError, match="no series reciprocal"):
-            one_plus_x.log()
+    assert one_plus_x.log() == EgfSeries(ring, [0, 1, -1, 2])
 
 
 @pytest.mark.parametrize("ring", [ZZ, POLY])
