@@ -15,18 +15,17 @@ machine-checkable certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 from math import comb, factorial
 from operator import mul
 
-from .fixpoint import solve_tree_series
-from .rings import QQ, ZZ, binomial_rows, int_convolve, numerators
-from .series import EgfSeries, IntegralityReport, SeriesError, check_order
-
-_ONE_HALF = Fraction(1, 2)
+from .fixpoint import NotAContractionError, am_phi, solve_fixed_point
+from .rings import QQ, ZZ, NonDivisibleError, binomial_rows, int_convolve, numerators
+from .series import EgfSeries, SeriesError, check_order
 
 
 @lru_cache(maxsize=None)
@@ -163,12 +162,7 @@ STEP_NAMES = (
 @dataclass(frozen=True)
 class CertificateStep:
     name: str
-    report: IntegralityReport
-    equality_ok: bool = True
-
-    @property
-    def ok(self) -> bool:
-        return self.report.integral and self.equality_ok
+    ok: bool
 
 
 @dataclass
@@ -176,33 +170,18 @@ class IntegralityCertificate:
     h: int
     k: int
     order: int
-    steps: list[CertificateStep] = field(default_factory=list)
-    final_equality: bool = False
+    steps: list[CertificateStep]
 
     @property
     def valid(self) -> bool:
-        return self.final_equality and all(s.ok for s in self.steps)
+        return all(s.ok for s in self.steps)
 
     @property
     def failing_step(self):
-        for s in self.steps:
-            if not s.ok:
-                return s.name
-        return None
+        return next((s.name for s in self.steps if not s.ok), None)
 
     def render(self) -> str:
-        lines = []
-        for s in self.steps:
-            if s.ok:
-                lines.append(f"{s.name}: OK")
-            elif not s.report.integral:
-                value = s.report.fail_value
-                shown = value.render() if hasattr(value, "render") else str(value)
-                lines.append(
-                    f"{s.name}: FAIL at n={s.report.first_fail_index}, value={shown}"
-                )
-            else:
-                lines.append(f"{s.name}: FAIL (mismatch)")
+        lines = [f"{s.name}: {'OK' if s.ok else 'FAIL (mismatch)'}" for s in self.steps]
         lines.append("CERTIFIED" if self.valid else "REFUTED")
         return "\n".join(lines)
 
@@ -210,34 +189,35 @@ class IntegralityCertificate:
 def certify(h: int, k: int, order: int, inject_fault: str | None = None) -> IntegralityCertificate:
     """Run the full integrality argument for M_n(h,k), n <= order.
 
-    Steps recorded, in order:
-      1. reduction-factor: Q, built from its closed form as a finite sum of
-         exponentials, is integral.
-      2. tree-series: the fixed-point solution A for |k| is integral.
-      3. comp-inverse: A's compositional inverse is integral and equals the
-         algebraic series |k| x log(1+x)/((1+x)^{|k|} - 1), both over ZZ.
-      4. subst-exp: substituting e^x - 1 into the inverse gives gf(1,|k|),
-         and the result is integral.
-      5. final-equality: Q * gf(1,|k|) = gf(h,k), and both computation
-         routes agree coefficient by coefficient.
+    Each step checks one equation over ZZ, with s = |k| for k < 0 and s = 0
+    otherwise:
+      1. reduction-factor: Q * (e^x - 1) = e^{(s+h)x} - e^{sx}.  Its
+         coefficient n + 1 pins Q_n, so the equation fixes Q_0..Q_{N-1},
+         every coefficient that step 5's product reads.  Q is integral by
+         construction, a signed sum of integer powers.
+      2. tree-series: the solve's own check Phi(A) = A for |k|.  A is
+         integral by construction: Phi has integer coefficients and the
+         online steps never divide.
+      3. comp-inverse: A's compositional inverse equals the algebraic series
+         |k| x log(1+x)/((1+x)^{|k|} - 1).  Both sides are integral because
+         their divisions (by m! and by |k|) are exact ``ZZ.divide`` calls.
+      4. subst-exp: the inverse composed with e^x - 1 equals gf(1,|k|); the
+         composite is an integer (Stirling) combination of the inverse's
+         coefficients, and ``m_series`` divides exactly by n + 1.
+      5. final-equality: Q * gf(1,|k|) = gf(h,k), and both routes to
+         M_n(h,k) agree coefficient by coefficient.  ``m_direct_values``
+         divides exactly by the Bernoulli denominator, so every M_n is an
+         integer or the step fails.
 
-    Step 1 is integral by construction; that Q is the quotient
-    gf(h,k)/gf(1,|k|) is checked by step 5's product, which reads
-    Q_0..Q_{N-1}, every coefficient that M_0..M_N depend on.  Every step runs
-    over ZZ, so step 4 compares g with gf(1,|k|) directly.  A is integral by
-    construction: Phi has integer coefficients and the online steps never
-    divide.  Step 3 is integral because its divisions by m! are exact
-    ``ZZ.divide`` calls, which raise on a remainder; step 4 is integral by
-    construction, each coefficient an integer combination (Stirling numbers
-    of the second kind) of the inverse's.  That every M_n is an integer
-    rests on the same kind of division: ``m_series`` divides by n + 1 and
-    ``m_direct_values`` by the Bernoulli denominator, each an exact
-    ``ZZ.divide``, so a non-integral M_n raises ``NonDivisibleError``.
+    The certificate stops at the first failing step, since each later step
+    reads that step's output.  A ``NonDivisibleError`` (a remainder) or a
+    ``NotAContractionError`` raised inside a step is that step's failure.
 
-    ``inject_fault`` adds 1/2 to one coefficient of the named step's series,
-    lifted to QQ; it exists so the refutation path is testable.  Steps 4 and
-    5 compare in the ring of that step's series, so a lifted series meets
-    its partners over QQ.
+    ``inject_fault`` adds 1 to coefficient min(2, order - 1) of the named
+    step's output, in its own ring; for tree-series the online step adds it,
+    so the solve's check refutes it.  Coefficient N of Q is read by no
+    equation, which is why the fault sits below the order.  It exists so the
+    refutation path is testable.
     """
     if k == 0:
         raise SeriesError("k must be nonzero")
@@ -246,50 +226,47 @@ def certify(h: int, k: int, order: int, inject_fault: str | None = None) -> Inte
         raise SeriesError(f"certify needs order >= 1, got {order}")
     if inject_fault is not None and inject_fault not in STEP_NAMES:
         raise ValueError(f"unknown step {inject_fault!r}")
-    cert = IntegralityCertificate(h=h, k=k, order=order)
-    ka = abs(k)
+    ka, n = abs(k), min(2, order - 1)
 
     def corrupt(series: EgfSeries, step: str) -> EgfSeries:
         if inject_fault != step:
             return series
-        series = series.over(QQ)  # 1/2 is not an element of ZZ
-        n = min(2, series.order)
-        return series.with_coefficient(n, series[n] + _ONE_HALF)
+        return series.with_coefficient(n, series[n] + 1)
 
-    q = corrupt(reduction_factor(h, k, order), "reduction-factor")
-    cert.steps.append(CertificateStep("reduction-factor", q.integrality_report()))
+    phi = am_phi(ka)
+    if inject_fault == "tree-series":
+        online = phi.online
 
-    a = corrupt(solve_tree_series(ka, order), "tree-series")
-    cert.steps.append(CertificateStep("tree-series", a.integrality_report()))
+        def faulty_online(ring):
+            step = online(ring)
+            return lambda a: step(a) + 1 if len(a) == n else step(a)
 
-    inv = corrupt(a.comp_inverse(), "comp-inverse")
-    cert.steps.append(
-        CertificateStep(
-            "comp-inverse",
-            inv.integrality_report(),
-            equality_ok=inv == inverse_tree_series(ka, order),
-        )
-    )
+        phi = replace(phi, online=faulty_online)
 
-    g = corrupt(inv.subst_exp_minus_one(), "subst-exp")
-    gf_base = m_series(1, ka, order)
-    cert.steps.append(
-        CertificateStep(
-            "subst-exp", g.integrality_report(), equality_ok=g == gf_base.over(g.ring)
-        )
-    )
+    def checks() -> Iterator[bool]:
+        # one outcome per entry of STEP_NAMES; each step runs only once the
+        # previous outcome has been read
+        s = max(-k, 0)
+        exp = partial(EgfSeries.exp_line, order=order, ring=ZZ)
+        q = corrupt(reduction_factor(h, k, order), "reduction-factor")
+        yield q * (exp(1) - EgfSeries.one(order, ZZ)) == exp(s + h) - exp(s)
+        a = solve_fixed_point(phi, order, ZZ)  # raises unless Phi(A) = A
+        yield True
+        inv = corrupt(a.comp_inverse(), "comp-inverse")
+        yield inv == inverse_tree_series(ka, order)
+        gf_base = m_series(1, ka, order)
+        yield corrupt(inv.subst_exp_minus_one(), "subst-exp") == gf_base
+        gf_hk = corrupt(m_series(h, k, order), "final-equality")
+        yield q * gf_base == gf_hk and list(gf_hk.coeffs) == m_direct_values(h, k, order)
 
-    gf_hk = m_series(h, k, order)
-    direct = m_direct_values(h, k, order)
-    final_ok = (
-        inject_fault != "final-equality"
-        and q * gf_base.over(q.ring) == gf_hk.over(q.ring)
-        and list(gf_hk.coeffs) == direct
-    )
-    cert.steps.append(
-        CertificateStep(
-            "final-equality", gf_hk.integrality_report(), equality_ok=final_ok
-        )
-    )
-    cert.final_equality = final_ok
-    return cert
+    steps = []
+    outcomes = checks()
+    for name in STEP_NAMES:
+        try:
+            ok = next(outcomes)
+        except (NonDivisibleError, NotAContractionError):
+            ok = False
+        steps.append(CertificateStep(name, ok))
+        if not ok:
+            break
+    return IntegralityCertificate(h=h, k=k, order=order, steps=steps)

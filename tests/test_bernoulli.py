@@ -338,16 +338,45 @@ class TestCertify:
 
 @pytest.mark.parametrize("step", STEP_NAMES)
 def test_fault_injection_refutes_at_each_step(step):
-    # the tree-side steps run over ZZ; the fault is added after a lift to QQ
     cert = certify(7, -3, 12, inject_fault=step)
     assert not cert.valid
     assert cert.failing_step == step
     assert cert.render().endswith("REFUTED")
 
 
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("step", STEP_NAMES)
+def test_fault_at_low_order_is_refuted_at_its_step(step, order):
+    # the fault sits at coefficient min(2, order - 1), which every step's
+    # equation reads
+    for h, k in [(7, -3), (1, 2), (0, 1), (-4, -1)]:
+        cert = certify(h, k, order, inject_fault=step)
+        assert [s.name for s in cert.steps] == list(STEP_NAMES[: STEP_NAMES.index(step) + 1])
+        assert cert.failing_step == step
+
+
+def test_certificate_render_is_pinned():
+    assert certify(7, -3, 12).render() == (
+        "reduction-factor: OK\n"
+        "tree-series: OK\n"
+        "comp-inverse: OK\n"
+        "subst-exp: OK\n"
+        "final-equality: OK\n"
+        "CERTIFIED"
+    )
+
+
+@pytest.mark.parametrize("step", STEP_NAMES)
+def test_fault_render_is_pinned(step):
+    # the certificate stops at the failing step
+    passed = STEP_NAMES[: STEP_NAMES.index(step)]
+    expected = [f"{name}: OK" for name in passed] + [f"{step}: FAIL (mismatch)", "REFUTED"]
+    assert certify(7, -3, 12, inject_fault=step).render() == "\n".join(expected)
+
+
 def wrong_reduction_factor(h, k, n):
-    # Q_{N-1} is the last coefficient a product with gf(1,|k|) reads; the
-    # wrong Q is still integral, so only that product can refute it
+    # Q_{N-1} is the last coefficient that Q (e^x - 1) and the product with
+    # gf(1,|k|) read; the wrong Q is still integral
     return bump(reduction_factor(h, k, n), n - 1)
 
 
@@ -355,7 +384,7 @@ def test_wrong_integral_reduction_factor_is_refuted(monkeypatch):
     monkeypatch.setattr(bernoulli, "reduction_factor", wrong_reduction_factor)
     cert = certify(7, -3, 12)
     assert not cert.valid
-    assert cert.failing_step == "final-equality"
+    assert cert.failing_step == "reduction-factor"
     assert cert.render().endswith("REFUTED")
 
 
@@ -363,6 +392,13 @@ def wrong_direct_values(h, k, n):
     values = m_direct_values(h, k, n)
     values[-1] += 1
     return values
+
+
+def test_wrong_direct_values_are_refuted_at_final_equality(monkeypatch):
+    monkeypatch.setattr(bernoulli, "m_direct_values", wrong_direct_values)
+    cert = certify(7, -3, 12)
+    assert [s.ok for s in cert.steps] == [True] * 4 + [False]
+    assert cert.failing_step == "final-equality"
 
 
 @pytest.mark.parametrize(
@@ -392,6 +428,21 @@ def test_theorem_sweep_fails_on_a_remainder(monkeypatch):
     with pytest.raises(NonDivisibleError):
         m_direct_values(1, 2, 8)
     assert not verify.check_theorem_sweep(2, 8)
+
+
+def test_certificate_fails_on_a_remainder(monkeypatch, capsys):
+    # the NonDivisibleError from ``m_direct_values`` is final-equality's
+    # FAIL line, and the CLI reports it as a refutation, not a traceback
+    monkeypatch.setattr(bernoulli, "bernoulli_factor", wrong_bernoulli_factor)
+    with pytest.raises(NonDivisibleError):
+        m_direct_values(7, -3, 12)
+    cert = certify(7, -3, 12)
+    assert cert.failing_step == "final-equality"
+    assert cert.render().endswith("final-equality: FAIL (mismatch)\nREFUTED")
+    assert main(["certify", "--h", "7", "--k", "-3", "--order", "12"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == cert.render() + "\n"
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hurwitz import verify
+from hurwitz import bernoulli, verify
 from hurwitz.cli import BROKEN_PIPE, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -99,6 +99,16 @@ class TestCertify:
         assert code == 1
         assert "comp-inverse: FAIL" in out
         assert out.strip().endswith("REFUTED")
+
+    @pytest.mark.parametrize("order", ["1", "2", "12"])
+    def test_each_injected_fault_is_the_last_line_before_refuted(self, capsys, order):
+        for step in bernoulli.STEP_NAMES:
+            code, out = run(
+                capsys, "certify", "--h", "-5", "--k", "-4", "--order", order,
+                "--inject-fault", step,
+            )
+            assert code == 1
+            assert out.splitlines()[-2:] == [f"{step}: FAIL (mismatch)", "REFUTED"]
 
 
 class TestTrees:
