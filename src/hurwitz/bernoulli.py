@@ -23,7 +23,7 @@ from itertools import accumulate
 from math import comb, factorial
 from operator import mul
 
-from .fixpoint import NotAContractionError, am_phi, solve_fixed_point
+from .fixpoint import NotAContractionError, am_phi, pk_of_series, solve_fixed_point
 from .rings import QQ, ZZ, NonDivisibleError, binomial_rows, int_convolve, numerators
 from .series import EgfSeries, SeriesError, check_order
 
@@ -119,23 +119,30 @@ def reduction_factor(h: int, k: int, order: int) -> EgfSeries:
     return EgfSeries._of(ZZ, coeffs)
 
 
+def _inverse_tree_parts(k: int, order: int) -> tuple[list[int], list[int]]:
+    """The EGF coefficients of k log(1+x) and of d = ((1+x)^k - 1)/x, the
+    top and bottom of ``inverse_tree_series``: l_n = k (-1)^{n-1} (n-1)!
+    for n >= 1, and d_n = C(k, n+1) n! for n < k.  d has degree k - 1, and
+    its list stops there."""
+    # l_0 = 0, l_1 = k and l_{n+1} = -n l_n
+    log = [0, *accumulate(range(1, order), lambda l_n, n: -n * l_n, initial=k)][: order + 1]
+    return log, [comb(k, n + 1) * factorial(n) for n in range(min(k, order + 1))]
+
+
 def inverse_tree_series(k: int, order: int) -> EgfSeries:
     """k x log(1+x) / ((1+x)^k - 1) over ZZ: the algebraic form of the
     compositional inverse of the k-tree series.
 
-    It is one series division g = k log(1+x) / d, with d = ((1+x)^k - 1)/x.
-    The EGF coefficients are l_n = k (-1)^{n-1} (n-1)! for n >= 1 on top and
-    d_n = C(k, n+1) n! below, so d_0 = k and d has degree k - 1: each
+    It is one series division g = k log(1+x) / d, with d = ((1+x)^k - 1)/x
+    from ``_inverse_tree_parts``.  d_0 = k and d has degree k - 1, so each
     coefficient is one exact division by k (``ZZ.divide`` raises on a
-    remainder) after at most k - 1 products.  ``certify`` compares g with
-    the order-by-order inverse.
+    remainder) after at most k - 1 products.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     check_order(order)
-    # l_0 = 0, l_1 = k and l_{n+1} = -n l_n
-    log = [0, *accumulate(range(1, order), lambda l_n, n: -n * l_n, initial=k)][: order + 1]
-    d = [comb(k, n + 1) * factorial(n) if n < k else 0 for n in range(order + 1)]
+    log, d = _inverse_tree_parts(k, order)
+    d += [0] * (order + 1 - len(d))
     return EgfSeries._of(ZZ, log) / EgfSeries._of(ZZ, d)
 
 
@@ -189,20 +196,29 @@ class IntegralityCertificate:
 def certify(h: int, k: int, order: int, inject_fault: str | None = None) -> IntegralityCertificate:
     """Run the full integrality argument for M_n(h,k), n <= order.
 
-    Each step checks one equation over ZZ, with s = |k| for k < 0 and s = 0
-    otherwise:
+    Each step checks its equations over ZZ, with s = |k| for k < 0 and
+    s = 0 otherwise:
       1. reduction-factor: Q * (e^x - 1) = e^{(s+h)x} - e^{sx}.  Its
          coefficient n + 1 pins Q_n, so the equation fixes Q_0..Q_{N-1},
          every coefficient that step 5's product reads.  Q is integral by
          construction, a signed sum of integer powers.
-      2. tree-series: the solve's own check Phi(A) = A for |k|.  A is
-         integral by construction: Phi has integer coefficients and the
-         online steps never divide.
-      3. comp-inverse: A's compositional inverse equals the algebraic series
-         |k| x log(1+x)/((1+x)^{|k|} - 1).  Both sides are integral because
-         their divisions (by m! and by |k|) are exact ``ZZ.divide`` calls.
-      4. subst-exp: the inverse composed with e^x - 1 equals gf(1,|k|); the
-         composite is an integer (Stirling) combination of the inverse's
+      2. tree-series: the solve's own check Phi(A) = A for |k|, with
+         Phi(A) = sum_{n>=1} p^{n-1} x^n/n! and p = p_|k|(A), evaluated as
+         (e^{xp} - 1)/p.  A is integral by the paper's lemma: Phi(A) has
+         integer coefficients when A has, so each online step's one division
+         by |k| is exact, and a remainder would raise.
+      3. comp-inverse: g = |k| x log(1+x)/((1+x)^{|k|} - 1), integral
+         because its divisions by |k| are exact, is A's compositional
+         inverse.  Two equations show it, each one product over ZZ:
+         (i) |k| A' = (1+A) (x p)', the derivative of
+         |k| log(1+A) = x p; the EGF derivative is a shift, and both sides
+         of the underived equation have constant term 0;
+         (ii) d g = |k| log(1+x), with d = ((1+x)^{|k|} - 1)/x of degree
+         |k| - 1, so d(y) = p_|k|(y).  Substituting A for y in (ii) and
+         using (i) gives g(A) p = |k| log(1+A) = x p, and p_0 = |k| is
+         nonzero, so g(A) = x.
+      4. subst-exp: g composed with e^x - 1 equals gf(1,|k|); the
+         composite is an integer (Stirling) combination of g's
          coefficients, and ``m_series`` divides exactly by n + 1.
       5. final-equality: Q * gf(1,|k|) = gf(h,k), and both routes to
          M_n(h,k) agree coefficient by coefficient.  ``m_direct_values``
@@ -222,7 +238,7 @@ def certify(h: int, k: int, order: int, inject_fault: str | None = None) -> Inte
     if k == 0:
         raise SeriesError("k must be nonzero")
     if order < 1:
-        # the comp-inverse step needs the tree series' linear term
+        # the comp-inverse step differentiates A, leaving order N - 1
         raise SeriesError(f"certify needs order >= 1, got {order}")
     if inject_fault is not None and inject_fault not in STEP_NAMES:
         raise ValueError(f"unknown step {inject_fault!r}")
@@ -252,10 +268,19 @@ def certify(h: int, k: int, order: int, inject_fault: str | None = None) -> Inte
         yield q * (exp(1) - EgfSeries.one(order, ZZ)) == exp(s + h) - exp(s)
         a = solve_fixed_point(phi, order, ZZ)  # raises unless Phi(A) = A
         yield True
-        inv = corrupt(a.comp_inverse(), "comp-inverse")
-        yield inv == inverse_tree_series(ka, order)
+        # (i), where the EGF derivative f' = f_1, f_2, ... is a shift
+        xp = pk_of_series(ka, a).mul_by_x().coeffs
+        one_plus_a = (EgfSeries.one(order, ZZ) + a).truncate(order - 1)
+        lhs = EgfSeries._of(ZZ, a.coeffs[1:]).scale(ka)
+        # (ii), coefficient m of d g read off d's |k| terms
+        g = corrupt(inverse_tree_series(ka, order), "comp-inverse")
+        log, d = _inverse_tree_parts(ka, order)
+        rows = binomial_rows(order)
+        yield lhs == one_plus_a * EgfSeries._of(ZZ, xp[1 : order + 1]) and log == [
+            sum(map(mul, map(mul, rows[m], d), g.coeffs[m::-1])) for m in range(order + 1)
+        ]
         gf_base = m_series(1, ka, order)
-        yield corrupt(inv.subst_exp_minus_one(), "subst-exp") == gf_base
+        yield corrupt(g.subst_exp_minus_one(), "subst-exp") == gf_base
         gf_hk = corrupt(m_series(h, k, order), "final-equality")
         yield q * gf_base == gf_hk and list(gf_hk.coeffs) == m_direct_values(h, k, order)
 

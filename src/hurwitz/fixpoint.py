@@ -2,15 +2,17 @@
 
 Each equation is written as A = Phi(A), where coefficient m of Phi(A) depends
 only on coefficients 0..m-1 of A (an x-adic contraction).  Both maps of the
-package, the Hurwitz-making map of the tree series and the four-parameter map
-of :mod:`hurwitz.parametric`, have the shape
-Phi(A) = r(A) sum_{n>=1} u(A)^{n-1} x^n/n! for polynomials u and r, and
-``power_sum_phi`` builds both from u and r.  The solver is online ("relaxed",
-after van der Hoeven, *Relax, but don't be too lazy*, J. Symbolic Comput. 34,
-2002): one step turns the known prefix A_0..A_{m-1} into coefficient m of
-Phi(A) by extending cached powers by one coefficient, so Phi is never re-run
-as a whole while solving.  One full-order evaluation Phi(A) = A by ``apply``,
-a separate code path on series, then certifies the solution.
+package have the shape Phi(A) = r(A) sum_{n>=1} u(A)^{n-1} x^n/n! for
+polynomials u and r.  ``power_sum_phi`` builds such a map from u and r; the
+four-parameter map of :mod:`hurwitz.parametric` is built by it.  The
+tree-series map (u = p_k, r = 1) is built by ``am_phi`` in exp form instead,
+Phi(A) = (e^{x p} - 1)/p with p = p_k(A), which costs O(k N^2) where the sum
+of powers costs O(N^3).  The solver is online ("relaxed", after van der
+Hoeven, *Relax, but don't be too lazy*, J. Symbolic Comput. 34, 2002): one
+step turns the known prefix A_0..A_{m-1} into coefficient m of Phi(A) by
+extending cached series by one coefficient, so Phi is never re-run as a
+whole while solving.  One full-order evaluation Phi(A) = A by ``apply``, a
+separate code path on series, then certifies the solution.
 
 Two checks compare a solution with the exp forms it should satisfy:
 ``verify_exp_form`` checks (1+A)^k = e^{x p_k(A)} in the series' own ring,
@@ -114,6 +116,25 @@ def sum_powers_against_basis(p: EgfSeries) -> EgfSeries:
     return EgfSeries._of(ring, coeffs)
 
 
+def online_polynomials(ring, *polys):
+    """The online evaluation of polynomials c(A) = c_0 + c_1 A + ... + c_d A^d,
+    given as coefficient lists: the returned function, called with A_0..A_j,
+    extends the known coefficients of A^2..A^d by coefficient j and returns
+    [c(A)_j for each c]."""
+    a_powers: list[list] = [[] for _ in range(max(map(len, polys)) - 2)]  # A^2, A^3, ...
+
+    def extend(a: list) -> list:
+        j = len(a) - 1
+        prev = a
+        for power in a_powers:
+            power.append(product_coefficient(prev, a, j, ring))
+            prev = power
+        column = [a[j]] + [power[j] for power in a_powers]  # (A^e)_j, e >= 1
+        return [sum(map(mul, c[1:], column), c[0] if j == 0 else ring.zero) for c in polys]
+
+    return extend
+
+
 def power_sum_phi(description: str, u, r) -> PhiSpec:
     """Phi(A) = r(A) sum_{n>=1} u(A)^{n-1} x^n/n! for polynomials u and r,
     given as coefficient lists u_0..u_d and r_0..r_e.
@@ -131,25 +152,17 @@ def power_sum_phi(description: str, u, r) -> PhiSpec:
         return polynomial_of_series(r, a) * sum_powers_against_basis(polynomial_of_series(u, a))
 
     def online(ring):
-        a_powers: list[list] = [[] for _ in range(max(len(u), len(r)) - 2)]  # A^2, A^3, ...
+        evaluate = online_polynomials(ring, u, r)
         u_powers: list[list] = []  # u(A)^2, u(A)^3, ...
         u_of_a, r_of_a, acc = [], [], [ring.zero]
-
-        def evaluate(c, column, j):
-            return sum(map(mul, c[1:], column), c[0] if j == 0 else ring.zero)
 
         def step(a: list):
             m = len(a)
             if m == 0:
                 return ring.zero
-            j = m - 1
-            prev = a
-            for power in a_powers:
-                power.append(product_coefficient(prev, a, j, ring))
-                prev = power
-            column = [a[j]] + [power[j] for power in a_powers]  # (A^e)_j, e >= 1
-            u_of_a.append(evaluate(u, column, j))
-            r_of_a.append(evaluate(r, column, j))
+            u_j, r_j = evaluate(a)
+            u_of_a.append(u_j)
+            r_of_a.append(r_j)
             # acc_m = sum_{n=1}^{m} C(m,n) (u^{n-1})_{m-n}; u^{m-1} starts here
             row = binomial_rows(m)[m]
             total = ring.one if m == 1 else row[2] * u_of_a[m - 2]
@@ -172,16 +185,59 @@ def power_sum_phi(description: str, u, r) -> PhiSpec:
 
 
 def am_phi(k: int) -> PhiSpec:
-    """Phi(A) = sum_{n>=1} p_k(A)^{n-1} x^n/n!, the Hurwitz-making form."""
+    """Phi(A) = sum_{n>=1} p^{n-1} x^n/n! with p = p_k(A), the
+    Hurwitz-making form, evaluated as (e^{xp} - 1)/p: the sum times p is
+    sum_{n>=1} p^n x^n/n! = e^{xp} - 1 (Postnikov's form of the equation,
+    *Intransitive trees*, JCTA 79, 1997).
+
+    ``apply`` is k - 2 series products for p, one ``exp`` and one exact
+    series division by p.  The online step keeps the known coefficients of
+    A^2..A^{k-1}, of p, of E = e^{xp} and of S = Phi(A).  Step m extends
+    each power by coefficient m - 1 and computes p_{m-1}.  From
+    E' = (xp)' E, with (xp)'_j = (j+1) p_j,
+    E_m = sum_{j<m} C(m-1,j) (j+1) p_j E_{m-1-j}; and coefficient m of
+    p S = E - 1, with p_0 = k and S_0 = 0, is
+    S_m = (E_m - sum_{i=1}^{m-1} C(m,i) p_i S_{m-i}) / k, one
+    ``ring.divide``.  A step costs O(km).  S is the power sum of p, which
+    is integral when A is, so over ZZ the division never leaves a remainder;
+    it raises if one does.
+    """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    return power_sum_phi(f"tree-series-phi(k={k})", binomial_rows(k)[k][1:], [1])
+
+    def apply(a: EgfSeries) -> EgfSeries:
+        p = pk_of_series(k, a)
+        e = p.mul_by_x().truncate(a.order).exp()
+        return (e - EgfSeries.one(a.order, a.ring)) / p
+
+    def online(ring):
+        evaluate = online_polynomials(ring, binomial_rows(k)[k][1:])  # p_k
+        p, dxp, e, s = [], [], [ring.one], [ring.zero]  # dxp = (xp)'
+
+        def step(a: list):
+            m = len(a)
+            if m == 0:
+                return ring.zero
+            j = m - 1
+            p.extend(evaluate(a))
+            dxp.append(m * p[j])
+            e.append(product_coefficient(dxp, e, j, ring))
+            row = binomial_rows(m)[m]
+            # C(m,i) p_i S_{m-i} for i = 1..m-1
+            known = map(mul, map(mul, row[1:m], p[1:]), reversed(s[1:]))
+            s.append(ring.divide(e[m] - sum(known, ring.zero), k))
+            return s[m]
+
+        return step
+
+    return PhiSpec(description=f"tree-series-phi(k={k})", apply=apply, online=online)
 
 
 def solve_tree_series(k: int, order: int) -> EgfSeries:
     """The solution A of (1+A)^k = e^{x p_k(A)} up to the given order, over
-    ZZ: Phi has integer coefficients and its online steps never divide, so A
-    is a Hurwitz series by construction."""
+    ZZ.  Each online step divides once by k, exactly: the quotient is a
+    coefficient of the power sum Phi(A), which has integer coefficients, so
+    A is a Hurwitz series by construction, and a remainder would raise."""
     return solve_fixed_point(am_phi(k), order, ZZ)
 
 

@@ -9,10 +9,13 @@ each full-size entry once.
 
 Checks whose values are integers run over ZZ, where every division is an
 exact ``ZZ.divide`` that raises on a remainder: hurwitz-closure, the tree
-series and its inverse, general-k-integrality's exp form, the M_n(h,k)
-routes of theorem-sweep, and all four routes of genocchi-tri-route, the
-Genocchi oracle's series division included.  theorem-sweep and
-hurwitz-closure catch that ``NonDivisibleError`` and fail.
+series (one division by k per coefficient) and its inverse,
+general-k-integrality's exp form, the M_n(h,k) routes of theorem-sweep, and
+all four routes of genocchi-tri-route, the Genocchi oracle's series division
+included.  theorem-sweep and hurwitz-closure catch that
+``NonDivisibleError`` and fail.  general-k-integrality also solves the tree
+series by the paper's division-free route, the sum of powers, and compares
+the two.
 """
 
 from __future__ import annotations
@@ -24,8 +27,14 @@ from functools import partial
 from typing import Callable
 
 from . import bernoulli, parametric, trees
-from .fixpoint import solve_tree_series, verify_exp_form, verify_postnikov_form
-from .rings import POLY, ZZ, NonDivisibleError
+from .fixpoint import (
+    power_sum_phi,
+    solve_fixed_point,
+    solve_tree_series,
+    verify_exp_form,
+    verify_postnikov_form,
+)
+from .rings import POLY, ZZ, NonDivisibleError, binomial_rows
 from .series import EgfSeries
 
 
@@ -199,13 +208,17 @@ def check_general_k_integrality(max_k: int = 6, order: int = 48) -> bool:
     ``verify_exp_form``'s argument B = 1+A then also solves
     B = e^{x(1+B+...+B^{k-1})/k}.
 
-    Over ZZ the series is a Hurwitz series by construction: Phi has integer
-    coefficients and the online steps never divide.  What this checks is
-    that the integral series is the solution, through ``exp`` rather than
-    Phi's sum of powers."""
-    return all(
-        verify_exp_form(solve_tree_series(k, order), k) for k in range(1, max_k + 1)
-    )
+    It also equals the solve of the paper's division-free route: the map
+    Phi(A) = sum_{n>=1} p_k(A)^{n-1} x^n/n! built by ``power_sum_phi``, whose
+    online steps never divide, so that A is a Hurwitz series because Phi has
+    integer coefficients.  ``solve_tree_series`` reaches the same A in exp
+    form, with one exact division by k per coefficient."""
+    for k in range(1, max_k + 1):
+        a = solve_tree_series(k, order)
+        powers = power_sum_phi(f"tree-power-sum(k={k})", binomial_rows(k)[k][1:], [1])
+        if not (verify_exp_form(a, k) and a == solve_fixed_point(powers, order, ZZ)):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -374,6 +374,31 @@ def test_fault_render_is_pinned(step):
     assert certify(7, -3, 12, inject_fault=step).render() == "\n".join(expected)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, -6])
+def test_comp_inverse_step_refutes_a_wrong_tree_series(monkeypatch, k):
+    # the solve passes; only equation (i), k A' = (1+A)(x p_k(A))', reads A
+    solve = bernoulli.solve_fixed_point
+    for index in range(2, 13):
+        monkeypatch.setattr(
+            bernoulli, "solve_fixed_point", lambda *args: bump(solve(*args), index)
+        )
+        cert = certify(7, k, 12)
+        assert [s.name for s in cert.steps] == list(STEP_NAMES[:3])
+        assert cert.failing_step == "comp-inverse"
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, -6])
+def test_comp_inverse_step_refutes_a_wrong_inverse(monkeypatch, k):
+    # only equation (ii), d g = k log(1+x), reads g
+    for index in range(13):
+        monkeypatch.setattr(
+            bernoulli, "inverse_tree_series", lambda ka, n: bump(inverse_tree_series(ka, n), index)
+        )
+        cert = certify(7, k, 12)
+        assert [s.name for s in cert.steps] == list(STEP_NAMES[:3])
+        assert cert.failing_step == "comp-inverse"
+
+
 def wrong_reduction_factor(h, k, n):
     # Q_{N-1} is the last coefficient that Q (e^x - 1) and the product with
     # gf(1,|k|) read; the wrong Q is still integral

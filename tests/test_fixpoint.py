@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hurwitz import verify
@@ -20,7 +20,7 @@ from hurwitz.fixpoint import (
     verify_postnikov_form,
 )
 from hurwitz.parametric import parametric_phi
-from hurwitz.rings import POLY, QQ, ZZ
+from hurwitz.rings import POLY, QQ, ZZ, binomial_rows
 from hurwitz.series import EgfSeries, SeriesError
 
 
@@ -35,6 +35,12 @@ def iterate_from_zero(phi, order, ring=QQ):
         a = phi.apply(a.extend(n))
     assert phi.apply(a) == a
     return a
+
+
+def power_sum_tree_phi(k):
+    """The tree map as the paper's sum of powers, whose online steps never
+    divide: the oracle for ``am_phi``'s exp form."""
+    return power_sum_phi("t", binomial_rows(k)[k][1:], [1])
 
 
 def const_x_phi():
@@ -152,6 +158,17 @@ class TestExpForms:
         monkeypatch.setattr(verify, "solve_tree_series", wrong)
         assert not verify.check_general_k_integrality(4, 24)
 
+    def test_general_k_check_compares_the_power_sum_route(self, monkeypatch):
+        # the exp form alone passes; only the comparison with the
+        # division-free solve can refute a wrong power-sum route
+        def wrong(phi, order, ring):
+            a = solve_fixed_point(phi, order, ring)
+            return a.with_coefficient(order, a[order] + 1)
+
+        assert verify.check_general_k_integrality(3, 12)
+        monkeypatch.setattr(verify, "solve_fixed_point", wrong)
+        assert not verify.check_general_k_integrality(3, 12)
+
     def test_all_three_forms_at_once(self):
         a = solve_tree_series(2, 10)
         assert verify_postnikov_form(a)
@@ -201,10 +218,41 @@ class TestOracles:
             power = power * p
         assert sum_powers_against_basis(p) == expected
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 40))
+    @example(8, 40)
+    @example(1, 40)
+    @example(8, 0)
+    def test_exp_form_matches_power_sum(self, k, order):
+        assert solve_tree_series(k, order) == solve_fixed_point(power_sum_tree_phi(k), order, ZZ)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.lists(st.integers(-9, 9), min_size=1, max_size=14))
+    def test_exp_form_apply_matches_power_sum(self, k, coeffs):
+        # any integral A with p_k(A_0) != 0, not only the fixed point
+        a = EgfSeries(ZZ, coeffs)
+        p = pk_of_series(k, a)
+        assume(p[0] != 0)
+        assert am_phi(k).apply(a) == sum_powers_against_basis(p)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    @pytest.mark.parametrize("index", [1, 2, 5])
+    def test_faulty_online_step_is_refuted_by_apply(self, k, index):
+        # the step's own division stays exact, since it divides the power
+        # sum of the faulty A; only the full-order check refutes the fault
+        online = am_phi(k).online
+
+        def faulty(ring):
+            step = online(ring)
+            return lambda a: step(a) + 1 if len(a) == index else step(a)
+
+        with pytest.raises(NotAContractionError):
+            solve_fixed_point(replace(am_phi(k), online=faulty), 8, ZZ)
+
     def test_k2_matches_postnikov_closed_form(self):
         # trees on n+1 vertices: a_n = sum_j C(n+1,j) j^n / ((n+1) 2^n)
-        a = solve_tree_series(2, 40)
-        for n in range(1, 41):
+        a = solve_tree_series(2, 128)
+        for n in range(1, 129):
             closed = Fraction(
                 sum(comb(n + 1, j) * j**n for j in range(1, n + 2)),
                 (n + 1) * 2**n,
