@@ -103,8 +103,8 @@ def cmd_trees(args) -> int:
 
 
 def cmd_drake(args) -> int:
-    if args.order > 16:
-        raise CliError("order capped at 16 (4-variable expansion scale)", USAGE_ERROR)
+    if args.order > 32:
+        raise CliError("order capped at 32 (4-variable expansion scale)", USAGE_ERROR)
     series = parametric.parametric_inverse_series(args.order)
     if args.specialize == "k2":
         k2 = parametric.specialize_k2(series)

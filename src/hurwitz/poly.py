@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from heapq import heappop, heappush
 from operator import or_
 
 VARIABLES = ("a1", "a2", "b1", "b2")
@@ -203,9 +204,16 @@ class MultiPoly:
         top = _pack(top) | _GUARD
         quotient, remainder = {}, {}
         work = self._terms.copy()
-        while work:
-            key = max(work)
-            coeff = work.pop(key)
+        # a max-heap of the keys that entered work, as negated ints (a sorted
+        # list is a heap); a key popped after it cancelled out of work is
+        # skipped.  Every target diff + k2 is below the key just taken, so
+        # keys still leave in decreasing lex order.
+        heap = sorted(-key for key in work)
+        while heap:
+            key = -heappop(heap)
+            coeff = work.pop(key, 0)
+            if not coeff:
+                continue
             q, r = divmod(coeff, lead_coeff)
             diff = key - lead
             # the monomial divides iff no field of key - lead borrows from its
@@ -217,11 +225,14 @@ class MultiPoly:
             quotient[diff] = q
             for k2, c2 in rest:
                 target = diff + k2
-                c = work.get(target, 0) - q * c2
-                if c:
+                c = work.get(target)
+                if c is None:
+                    work[target] = -q * c2
+                    heappush(heap, -target)
+                elif c := c - q * c2:
                     work[target] = c
                 else:
-                    work.pop(target, None)
+                    del work[target]
         if remainder:
             raise NonDivisibleError(_poly(remainder))
         return _poly(quotient)
@@ -256,7 +267,38 @@ class MultiPoly:
 
 
 def as_poly(value) -> MultiPoly:
-    """value itself if a MultiPoly, else the constant polynomial value."""
+    """value itself if a MultiPoly, else the constant polynomial of the int
+    value; any other type is a TypeError."""
     if isinstance(value, MultiPoly):
         return value
-    return MultiPoly.constant(value)
+    if isinstance(value, int):
+        return _poly({0: value} if value else {})
+    raise TypeError(f"coefficient {value!r} is not an integer")
+
+
+def dot(scalars, fs, gs) -> MultiPoly:
+    """sum_i s_i f_i g_i for int s_i and MultiPoly f_i, g_i, as one product.
+
+    Each pair scales the shorter polynomial's coefficients once by s_i and
+    adds every term pair k1 + k2 into one map, so no constant polynomial,
+    partial product or partial sum is built; zero scalars and empty
+    polynomials are skipped.  Zero entries are dropped and the exponents
+    checked once, at the end, because only the sum is a result: a pass per
+    pair would cost a sweep of the map each time, and a key that sets a guard
+    bit and then cancels is not in the sum, so it is dropped, as in
+    ``__mul__``, while one that survives raises OverflowError.
+    """
+    terms = {}
+    get = terms.get
+    for s, f, g in zip(scalars, fs, gs):
+        a, b = f._terms, g._terms
+        if not (s and a and b):
+            continue
+        if len(a) < len(b):
+            a, b = b, a
+        for k2, c2 in b.items():
+            c2 *= s
+            for k1, c1 in a.items():
+                k = k1 + k2
+                terms[k] = get(k, 0) + c1 * c2
+    return _poly(_check_exponents({k: c for k, c in terms.items() if c}))

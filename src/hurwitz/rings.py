@@ -10,14 +10,20 @@ over all three, series division included.  Over Z and Z[a1,a2,b1,b2]
 Hurwitz series computed there is integral by construction.
 
 The contract holds only what the elements cannot do themselves: ``name``,
-``zero``, ``one``, ``coerce``, ``is_integral``, ``divide``, ``convolve``,
-``quotient`` and ``render``.  Elements of every ring add, multiply, take int
-scalars and compare with the ints 0 and 1 through ``==``, so ``scale(2)``
-and ``c == 0`` need no ring method.
+``zero``, ``one``, ``coerce``, ``is_integral``, ``divide``, ``dot``,
+``convolve``, ``quotient`` and ``render``.  Elements of every ring add,
+multiply, take int scalars and compare with the ints 0 and 1 through ``==``,
+so ``scale(2)`` and ``c == 0`` need no ring method.
 
-The contract also owns the two O(n^2) series kernels.  ``convolve`` is the
-EGF product: ``int_convolve`` over Z, the same loop on integer numerators
-over a common denominator over Q, and term by term over Z[a1,a2,b1,b2].
+The contract also owns the series kernels.  ``dot(s, f, g)``, the sum of
+s_i f_i g_i for int s_i, is the per-coefficient kernel: every EGF product
+coefficient of the online steps and of ``exp`` is one ``dot`` through
+``product_coefficient``.  Over Z and Q it is the ring's own sum of products
+(``generic_dot``); over Z[a1,a2,b1,b2] it is fused (``poly.dot``), adding
+every term pair of every product into one term map.  The two O(n^2) kernels
+are ``convolve`` and ``quotient``.  ``convolve`` is the EGF product:
+``int_convolve`` over Z, the same loop on integer numerators over a common
+denominator over Q, and one ``dot`` per coefficient over Z[a1,a2,b1,b2].
 ``quotient`` is the g with c * g = b: ``exact_quotient`` over Z and
 Z[a1,a2,b1,b2], and over Q ``int_quotient``, the same back-substitution on
 integer numerators with a running common denominator.  Every kernel reads
@@ -33,6 +39,7 @@ from itertools import islice
 from math import lcm
 from operator import add, mul, sub
 
+from . import poly
 from .poly import VARIABLES, MultiPoly, NonDivisibleError, as_poly  # noqa: F401  (re-exports)
 
 
@@ -122,13 +129,16 @@ def exact_quotient(ring, b, c) -> list:
     return g
 
 
+def generic_dot(ring, scalars, f, g):
+    """sum_i s_i f_i g_i in the ring's own arithmetic, summed from the ring's
+    zero; bound as ``dot`` on QQ and ZZ."""
+    return sum(map(mul, map(mul, scalars, f), g), ring.zero)
+
+
 def product_coefficient(f, g, n: int, ring):
-    """Coefficient n of the EGF product of coefficient lists f and g, in the
-    ring's own arithmetic."""
-    acc = ring.zero
-    for j, c in enumerate(binomial_rows(n)[n]):
-        acc = acc + c * f[j] * g[n - j]
-    return acc
+    """Coefficient n of the EGF product of coefficient lists f and g:
+    sum_j C(n,j) f_j g_{n-j}, one ``ring.dot``."""
+    return ring.dot(binomial_rows(n)[n], f, g[n::-1])
 
 
 def _as_int(value) -> int:
@@ -161,6 +171,8 @@ class RationalRing:
 
     def divide(self, c, n) -> Fraction:
         return c / n
+
+    dot = generic_dot
 
     def convolve(self, f, g) -> list[Fraction]:
         """(fg)_n = sum_j C(n,j) f_j g_{n-j} for equal-length f and g.
@@ -214,6 +226,7 @@ class IntegerRing:
             raise NonDivisibleError(r)
         return q
 
+    dot = generic_dot
     convolve = staticmethod(int_convolve)
     quotient = exact_quotient
 
@@ -239,9 +252,13 @@ class PolyRing:
         """c / n for an int or polynomial n; NonDivisibleError on a remainder."""
         return as_poly(c).exact_div(n)
 
+    dot = staticmethod(poly.dot)
+
     def convolve(self, f, g) -> list[MultiPoly]:
-        """(fg)_n = sum_j C(n,j) f_j g_{n-j} for equal-length f and g."""
-        return [product_coefficient(f, g, n, self) for n in range(len(f))]
+        """(fg)_n = sum_j C(n,j) f_j g_{n-j} for equal-length f and g, one
+        fused ``dot`` per coefficient."""
+        rows = binomial_rows(len(f) - 1)
+        return [self.dot(rows[n], f, g[n::-1]) for n in range(len(f))]
 
     quotient = exact_quotient
 

@@ -165,7 +165,7 @@ class TestDrake:
         assert values == ["1", "-2", "5", "-16", "64"]
 
     def test_order_cap(self, capsys):
-        code, _ = run(capsys, "drake", "--order", "17")
+        code, _ = run(capsys, "drake", "--order", "33")
         assert code == 2
 
 

@@ -1,13 +1,15 @@
 import re
 from fractions import Fraction
+from functools import reduce
 from math import comb
+from operator import add, or_
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurwitz import rings
+from hurwitz import poly, rings
 from hurwitz.poly import MAX_EXPONENT, VARIABLES
 from hurwitz.rings import (
     POLY,
@@ -28,7 +30,7 @@ B2 = MultiPoly.variable("b2")
 
 
 # what the elements cannot do themselves; every ring provides exactly this
-CONTRACT = {"name", "zero", "one", "coerce", "is_integral", "divide", "convolve", "quotient", "render"}
+CONTRACT = {"name", "zero", "one", "coerce", "is_integral", "divide", "dot", "convolve", "quotient", "render"}
 
 
 @pytest.mark.parametrize("ring", [QQ, ZZ, POLY], ids=lambda ring: ring.name)
@@ -345,6 +347,103 @@ def test_exact_div_matches_reference(p, q, multiply):
             dividend.exact_div(q)
 
 
+# max_loop_exact_div is MultiPoly.exact_div as it ran before its work keys
+# moved to a heap: it finds the largest work key with max() at every step,
+# O(T^2) in the number of work terms.  It is kept only as the oracle for the
+# heap-ordered division, which must give the same quotient, the same
+# remainder and the same error.
+
+
+def max_loop_exact_div(dividend, divisor):
+    d_terms = poly.as_poly(divisor)._terms
+    if not d_terms:
+        raise ZeroDivisionError("division by zero polynomial")
+    lead = max(d_terms)
+    lead_coeff = d_terms[lead]
+    rest = [(k, c) for k, c in d_terms.items() if k != lead]
+    top = (MAX_EXPONENT,) * 4
+    if rest and dividend._terms:
+        top = [a - b for a, b in zip(poly._unpack(reduce(or_, dividend._terms)), poly._degrees(d_terms))]
+        if min(top) < 0:
+            raise NonDivisibleError(dividend)
+    top = poly._pack(top) | poly._GUARD
+    guard = poly._GUARD
+    quotient, remainder = {}, {}
+    work = dividend._terms.copy()
+    while work:
+        key = max(work)
+        coeff = work.pop(key)
+        q, r = divmod(coeff, lead_coeff)
+        diff = key - lead
+        if r or ((key | guard) - lead) & guard != guard or (top - diff) & guard != guard:
+            remainder[key] = coeff
+            continue
+        quotient[diff] = q
+        for k2, c2 in rest:
+            target = diff + k2
+            c = work.get(target, 0) - q * c2
+            if c:
+                work[target] = c
+            else:
+                work.pop(target, None)
+    if remainder:
+        raise NonDivisibleError(poly._poly(remainder))
+    return poly._poly(quotient)
+
+
+def assert_divides_as_max_loop(dividend, divisor):
+    try:
+        expected = max_loop_exact_div(dividend, divisor)
+    except NonDivisibleError as exc:
+        with pytest.raises(NonDivisibleError) as got:
+            dividend.exact_div(divisor)
+        assert got.value.remainder == exc.remainder
+        assert str(got.value) == str(exc)
+    else:
+        assert dividend.exact_div(divisor) == expected
+
+
+nonzero_ints = st.one_of(st.integers(1, 9), st.integers(-9, -1), st.integers(2**60, 2**100))
+one_term_polys = st.builds(lambda e, c: MultiPoly({e: c}), exponents, nonzero_ints)
+divisors = st.one_of(polys.filter(lambda q: not q.is_zero()), one_term_polys, nonzero_ints)
+
+
+@settings(max_examples=100)
+@given(polys, divisors, polys, st.sampled_from(["multiple", "near-multiple", "any"]))
+def test_exact_div_matches_max_loop(p, divisor, r, case):
+    if case == "multiple":
+        dividend = p * divisor
+    elif case == "near-multiple":
+        dividend = p * divisor + r
+    else:
+        dividend = p
+    assert_divides_as_max_loop(dividend, divisor)
+
+
+BOUND_DIVISOR = {(3, 0, 0, 0): 1, (2, 0, 0, 1): 1, (0, 0, 1, 0): 1, (0, 0, 0, 0): 1}
+RANGE_DIVISOR = {(1, 0, 0, 0): 1, (0, 100, 0, 0): 1}
+
+
+# the cases of test_exact_div_stops_at_the_degree_bound and
+# test_exact_div_out_of_range_step_is_not_divisible; multiply says whether
+# the dividend is the first polynomial times the divisor
+@pytest.mark.parametrize(
+    "dividend, divisor, multiply",
+    [
+        ({(61, 0, 0, 0): 1}, BOUND_DIVISOR, False),
+        ({(58, 0, 0, 0): 1, (0, 3, 0, 1): -2}, BOUND_DIVISOR, True),
+        ({(63, 2, 0, 0): 1, (0, 0, 0, 0): 1}, {(3, 0, 0, 0): 1, (2, 1, 0, 0): 1}, False),
+        ({(1, 30, 0, 0): 1}, RANGE_DIVISOR, False),
+        ({(0, 27, 0, 0): 1, (1, 0, 0, 0): 2}, RANGE_DIVISOR, True),
+    ],
+)
+def test_exact_div_matches_max_loop_at_the_degree_bound(dividend, divisor, multiply):
+    dividend, divisor = MultiPoly(dividend), MultiPoly(divisor)
+    if multiply:
+        dividend = dividend * divisor
+    assert_divides_as_max_loop(dividend, divisor)
+
+
 @settings(max_examples=60)
 @given(polys, assignments)
 def test_render_and_evaluate_match_reference(p, v):
@@ -422,3 +521,52 @@ def test_product_coefficient_matches_comb_loop_qq(case):
 def test_product_coefficient_matches_comb_loop_poly(case):
     f, g, n = case
     assert product_coefficient(f, g, n, POLY) == reference_product_coefficient(f, g, n, POLY)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda top: st.lists(st.tuples(small_polys, small_polys), min_size=top + 1, max_size=top + 1)))
+def test_poly_convolve_matches_comb_loop(pairs):
+    f, g = (tuple(side) for side in zip(*pairs))
+    expected = [reference_product_coefficient(f, g, n, POLY) for n in range(len(f))]
+    assert POLY.convolve(f, g) == expected
+
+
+# -- the fused dot kernel over POLY ------------------------------------------
+
+dot_triples = st.lists(st.tuples(st.one_of(st.just(0), int_coeffs), polys, polys), max_size=6)
+
+
+@settings(max_examples=100)
+@given(dot_triples, st.sampled_from(["sum", "cancel", "overflow"]), st.sampled_from(VARIABLES))
+def test_dot_matches_mul_and_add(triples, case, var):
+    """poly.dot is sum_i s_i (f_i g_i) by __mul__ and __add__: zero scalars
+    and empty polynomials add nothing, a sum that cancels is MultiPoly(), and
+    a surviving key past MAX_EXPONENT raises OverflowError, as __mul__ does."""
+    if case == "cancel":
+        triples = triples + [(-s, f, g) for s, f, g in triples]
+    if case == "overflow":
+        # polys' exponents stay at or below MAX_EXPONENT // 2, so no other
+        # term can cancel this one
+        top = tuple(MAX_EXPONENT if v == var else 0 for v in VARIABLES)
+        triples = triples + [(3, MultiPoly({top: 1}), MultiPoly.variable(var))]
+        with pytest.raises(OverflowError):
+            poly.dot(*zip(*triples))
+        return
+    scalars, fs, gs = zip(*triples) if triples else ((), (), ())
+    expected = reduce(add, [s * (f * g) for s, f, g in triples], MultiPoly())
+    got = poly.dot(scalars, fs, gs)
+    assert got == expected
+    if case == "cancel":
+        assert got == MultiPoly()
+
+
+def test_dot_checks_exponents_on_the_sum():
+    # a key past MAX_EXPONENT that cancels out of the sum is not in it, so it
+    # is dropped, as __mul__ drops a zero entry before its exponent check
+    x = MultiPoly({(0, 0, MAX_EXPONENT, 0): 1})
+    with pytest.raises(OverflowError):
+        x * B1
+    with pytest.raises(OverflowError):
+        poly.dot([2, 0], [x, x], [B1, B1])
+    assert poly.dot([1, -1], [x, x], [B1, B1]) == MultiPoly()
+    assert poly.dot([1, -1, 5], [x, x, A1], [B1, B1, B2]) == 5 * A1 * B2
