@@ -2,15 +2,16 @@
 
 The numbers M_n(h,k) = k^n (B_n(h/k) - B_n) are computed over ZZ by two
 independent routes: ``m_direct_values`` from the Bernoulli numbers,
-M_n = sum_{m<n} C(n,m) (k^m B_m) h^{n-m}, one integer convolution over their
-common denominator d followed by one division by d per coefficient; and
-``m_series`` as the EGF coefficients of k x (e^{hx} - 1)/(e^{kx} - 1), read
-order by order off (e^{kx} - 1) * gf = k x (e^{hx} - 1) with one division by
-n + 1 per coefficient.  Every such division is an exact ``ZZ.divide``, which
-raises ``NonDivisibleError`` on a remainder, so neither route assumes the
-result is integral: each division checks it.  ``certify`` runs the
-integrality argument end to end and records every step in a
-machine-checkable certificate.
+M_n = sum_{m<n} C(n,m) (k^m B_m) h^{n-m} over their common denominator d,
+with one division by d per coefficient; and ``m_series`` as the EGF
+coefficients of k x (e^{hx} - 1)/(e^{kx} - 1), read order by order off
+(e^{kx} - 1) * gf = k x (e^{hx} - 1) with one division by n + 1 per
+coefficient.  Each route scales its terms by a power of h or k fixed by the
+order, so each term of its inner sum is one big-integer product.  Every
+such division is an exact ``ZZ.divide``, which raises ``NonDivisibleError``
+on a remainder, so neither route assumes the result is integral: each
+division checks it.  ``certify`` runs the integrality argument end to end
+and records every step in a machine-checkable certificate.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb, factorial
 from operator import mul
 
 from .fixpoint import NotAContractionError, am_phi, pk_of_series, solve_fixed_point
-from .rings import QQ, ZZ, NonDivisibleError, binomial_rows, int_convolve, numerators
+from .rings import QQ, ZZ, NonDivisibleError, binomial_rows, numerators
 from .series import EgfSeries, SeriesError, check_order
 
 
@@ -45,27 +46,37 @@ def bernoulli_poly_at(n: int, q) -> Fraction:
     return (EgfSeries.exp_line(Fraction(q), n) * bernoulli_factor(n))[n]
 
 
+def _powers_down(base: int, order: int) -> list[int]:
+    """[base^order, base^(order-1), ..., base^0]: entry n is base^(order-n)."""
+    return list(accumulate(repeat(base, order), mul, initial=1))[::-1]
+
+
 def m_series(h: int, k: int, order: int) -> EgfSeries:
     """k x (e^{hx} - 1)/(e^{kx} - 1) over ZZ; coefficient n is M_n(h, k).
 
     Coefficient n + 1 of (e^{kx} - 1) * gf = k x (e^{hx} - 1) reads
     sum_{j<=n} C(n+1, j) k^{n+1-j} gf_j = (n+1) k (h^n - [n = 0]).  Its
     term j = n is (n+1) k gf_n, so gf_0 = 0 and, for n >= 1,
-    gf_n = h^n - S_n / (n+1) with S_n = sum_{j<n} C(n+1, j) k^{n-j} gf_j:
-    one ``ZZ.divide`` per coefficient, which raises on a remainder.  Valid
-    for any nonzero integer k.
+    gf_n = h^n - S_n / (n+1) with S_n = sum_{j<n} C(n+1, j) k^{n-j} gf_j.
+    The loop carries c_j = gf_j k^{N-j}, N the order, so that
+    S_n k^{N-n} = sum_{j<n} C(n+1, j) c_j is one product per term.  One
+    ``ZZ.divide`` by (n+1) k^{N-n} per coefficient gives S_n / (n+1): the
+    sum is S_n k^{N-n} by construction, so the division leaves a remainder
+    exactly when S_n / (n+1) would, and then it raises.  Valid for any
+    nonzero integer k.
     """
     if k == 0:
         raise SeriesError("k must be nonzero")
     check_order(order)
     rows = binomial_rows(order + 1)
-    k_rev = [k**e for e in range(order, 0, -1)]  # k^order, ..., k^1
-    gf = [0]
+    k_scale = _powers_down(k, order)  # k^{N-n} at n
+    gf, c, h_n = [0], [0], 1
     for n in range(1, order + 1):
-        # the products stop at len(gf) = n, so j < n; k_rev[order - n:] is
-        # k^n, k^{n-1}, ...
-        s = sum(map(mul, map(mul, rows[n + 1], gf), k_rev[order - n:]))
-        gf.append(h**n - ZZ.divide(s, n + 1))
+        h_n *= h
+        # the products stop at len(c) = n, so j < n
+        s = sum(map(mul, rows[n + 1], c))
+        gf.append(h_n - ZZ.divide(s, (n + 1) * k_scale[n]))
+        c.append(gf[n] * k_scale[n])
     return EgfSeries._of(ZZ, gf)
 
 
@@ -80,19 +91,26 @@ def m_direct_values(h: int, k: int, order: int) -> list[int]:
 
     Expanding B_n(h/k) = sum_m C(n,m) B_m (h/k)^{n-m} and dropping the term
     m = n, which is B_n, gives
-    M_n = k^n (B_n(h/k) - B_n) = sum_{m<n} C(n,m) (k^m B_m) h^{n-m}:
-    one ``int_convolve`` of [0, h, h^2, ...] against k^m b_m, where
-    B_m = b_m / d over the common denominator d of the cached
-    ``bernoulli_factor``, and one ``ZZ.divide`` by d per coefficient, which
-    raises on a remainder.
+    M_n = k^n (B_n(h/k) - B_n) = sum_{m<n} C(n,m) (k^m B_m) h^{n-m}.
+    With B_m = b_m / d over the common denominator d of the cached
+    ``bernoulli_factor`` and w_m = k^m b_m h^{N-m}, N the order,
+    h^{N-n} d M_n = sum_{m<n} C(n,m) w_m is one product per term.  Its
+    division by h^{N-n} is exact by construction, and one ``ZZ.divide`` by
+    d per value then gives M_n, raising on a remainder: that division is
+    what refutes a wrong Bernoulli number.  For h = 0 every M_n is 0.
     """
     if k == 0:
         raise SeriesError("k must be nonzero")
     check_order(order)
     d, b = numerators(bernoulli_factor(order).coeffs)
-    kb = [b_m * k**m for m, b_m in enumerate(b)]
-    h_powers = [0] + [h**n for n in range(1, order + 1)]
-    return [ZZ.divide(s, d) for s in int_convolve(h_powers, kb)]
+    if h == 0:
+        return [0] * (order + 1)
+    rows = binomial_rows(order)
+    h_scale = _powers_down(h, order)  # h^{N-m} at m
+    k_powers = accumulate(repeat(k, order), mul, initial=1)  # k^m at m
+    w = list(map(mul, map(mul, b, k_powers), h_scale))
+    # rows[n] pairs with w[:n], so m < n
+    return [ZZ.divide(sum(map(mul, rows[n], w[:n])) // h_scale[n], d) for n in range(order + 1)]
 
 
 def reduction_factor(h: int, k: int, order: int) -> EgfSeries:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from operator import mul
 from typing import Callable
 
@@ -98,7 +99,7 @@ def sum_powers_against_basis(p: EgfSeries) -> EgfSeries:
 
     Multiplying by x^n/n! in EGF arithmetic is the shifted binomial
     coefficient, so coefficient m of the sum is
-    sum_{n=1}^{m} C(m,n) (p^{n-1})_{m-n}.
+    sum_{n=1}^{m} C(m,n) (p^{n-1})_{m-n}, one ``ring.dot``.
     """
     ring, order = p.ring, p.order
     # (p^i)_j is read only for j <= order-1-i, so p^i is truncated there
@@ -109,10 +110,8 @@ def sum_powers_against_basis(p: EgfSeries) -> EgfSeries:
     rows = binomial_rows(order)
     coeffs = [ring.zero]
     for m in range(1, order + 1):
-        acc = ring.zero
-        for n in range(1, m + 1):
-            acc = acc + rows[m][n] * powers[n - 1][m - n]
-        coeffs.append(acc)
+        terms = [powers[n - 1][m - n] for n in range(1, m + 1)]
+        coeffs.append(ring.dot(rows[m][1:], terms, repeat(ring.one)))
     return EgfSeries._of(ring, coeffs)
 
 
@@ -145,7 +144,8 @@ def power_sum_phi(description: str, u, r) -> PhiSpec:
     coefficient and starts the next power of u(A).  Coefficient m of the
     sum, acc_m, needs u(A) only up to index m-2, and coefficient m of
     Phi(A) is sum_{j<m} C(m,j) r(A)_j acc_{m-j}: the j = m term is
-    r(A)_m acc_0 with acc_0 = 0, so the unknown A_m is never needed.
+    r(A)_m acc_0 with acc_0 = 0, so the unknown A_m is never needed.  Each
+    of the two sums is one ``ring.dot``.
     """
 
     def apply(a: EgfSeries) -> EgfSeries:
@@ -165,19 +165,19 @@ def power_sum_phi(description: str, u, r) -> PhiSpec:
             r_of_a.append(r_j)
             # acc_m = sum_{n=1}^{m} C(m,n) (u^{n-1})_{m-n}; u^{m-1} starts here
             row = binomial_rows(m)[m]
-            total = ring.one if m == 1 else row[2] * u_of_a[m - 2]
             if m > 2:
                 u_powers.append([])
             prev = u_of_a
             for n, power in enumerate(u_powers, 3):
                 power.append(product_coefficient(prev, u_of_a, m - n, ring))
-                total = total + row[n] * power[-1]
                 prev = power
-            acc.append(total)
-            out = ring.zero
-            for i in range(m):
-                out = out + row[i] * r_of_a[i] * acc[m - i]
-            return out
+            if m == 1:
+                acc.append(ring.one)
+            else:
+                # (u^{n-1})_{m-n} for n = 2..m
+                terms = [u_of_a[m - 2], *(power[-1] for power in u_powers)]
+                acc.append(ring.dot(row[2:], terms, repeat(ring.one)))
+            return ring.dot(row[:m], r_of_a, acc[m:0:-1])
 
         return step
 

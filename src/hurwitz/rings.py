@@ -18,7 +18,8 @@ so ``scale(2)`` and ``c == 0`` need no ring method.
 The contract also owns the series kernels.  ``dot(s, f, g)``, the sum of
 s_i f_i g_i for int s_i, is the per-coefficient kernel: every EGF product
 coefficient of the online steps and of ``exp`` is one ``dot`` through
-``product_coefficient``.  Over Z and Q it is the ring's own sum of products
+``product_coefficient``, and so is each coefficient of ``compose`` and each
+sum of ``power_sum_phi``.  Over Z and Q it is the ring's own sum of products
 (``generic_dot``); over Z[a1,a2,b1,b2] it is fused (``poly.dot``), adding
 every term pair of every product into one term map.  The two O(n^2) kernels
 are ``convolve`` and ``quotient``.  ``convolve`` is the EGF product:

@@ -15,6 +15,7 @@ silently.
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
 from math import factorial
 from operator import add, mul, neg, sub
 from typing import NamedTuple, Optional
@@ -207,10 +208,10 @@ class EgfSeries:
     def compose(self, inner):
         """self(inner(x)) for inner with zero constant term.
 
-        Accumulates f_m * (N!/m!) * inner^m, with N the order, and divides
-        each coefficient once by N! with ``ring.divide``; since inner has no
-        constant term the x^n coefficient of inner^m vanishes for m > n, so
-        the loop is finite.  Over ZZ and POLY the division is exact: the
+        Coefficient n is sum_{m<=n} (N!/m!) f_m (inner^m)_n, with N the
+        order, as one ``ring.dot``, divided once by N! with ``ring.divide``;
+        since inner has no constant term the x^n coefficient of inner^m
+        vanishes for m > n.  Over ZZ and POLY the division is exact: the
         composite of series with integral coefficients is a Hurwitz series.
         """
         self._check(inner)
@@ -219,12 +220,13 @@ class EgfSeries:
             raise SeriesError("compose requires inner constant term 0")
         order = self.order
         top = factorial(order)
-        result = EgfSeries.one(order, ring).scale(self.coeffs[0] * top)
-        power = EgfSeries.one(order, ring)
-        for m in range(1, order + 1):
-            power = power * inner
-            result = result + power.scale(self.coeffs[m] * (top // factorial(m)))
-        return EgfSeries._of(ring, [ring.divide(c, top) for c in result.coeffs])
+        scalars = [top // factorial(m) for m in range(order + 1)]
+        # inner^0..inner^N, each one series product from the one before
+        powers = list(accumulate(repeat(inner, order), mul, initial=EgfSeries.one(order, ring)))
+        return EgfSeries._of(ring, [
+            ring.divide(ring.dot(scalars, self.coeffs, [p[n] for p in powers[: n + 1]]), top)
+            for n in range(order + 1)
+        ])
 
     def comp_inverse(self):
         """g with g(self(x)) = x (hence also self(g(x)) = x), solved order

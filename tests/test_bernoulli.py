@@ -230,6 +230,12 @@ def test_reduction_factor_matches_quotient(h, ka, sign, order):
 @example(20, 12, -1, 48)
 @example(-20, 1, 1, 48)
 @example(-17, 12, -1, 48)
+# above the drawn range: the kernels carry gf_j k^{N-j} and k^m b_m h^{N-m},
+# which grow with the order N
+@example(-17, 12, -1, 128)
+@example(20, 11, 1, 96)
+@example(0, 7, 1, 128)
+@example(1, 1, -1, 128)
 def test_m_routes_match_fraction_chains(h, ka, sign, order):
     k = sign * ka
     gf = m_series(h, k, order)

@@ -51,6 +51,19 @@ class TestCompute:
             _, a, b = line.split("\t")
             assert a == b
 
+    def test_route_both_agrees_at_high_order(self, capsys):
+        # both kernels scale their terms by powers of h or k up to order 200
+        code, out = run(
+            capsys, "compute", "--h", "-16", "--k", "12", "--order", "200",
+            "--route", "both",
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 201
+        for line in lines:
+            _, a, b = line.split("\t")
+            assert a == b
+
     def test_route_both_detects_injected_fault(self, capsys):
         code, _ = run(
             capsys, "compute", "--h", "1", "--k", "2", "--order", "8",
