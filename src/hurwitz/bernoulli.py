@@ -24,7 +24,7 @@ from itertools import accumulate, repeat
 from math import comb, factorial
 from operator import mul
 
-from .fixpoint import NotAContractionError, am_phi, pk_of_series, solve_fixed_point
+from .fixpoint import NotAContractionError, am_phi, solve_fixed_point
 from .rings import QQ, ZZ, NonDivisibleError, binomial_rows, numerators
 from .series import EgfSeries, SeriesError, check_order
 
@@ -227,14 +227,13 @@ def certify(h: int, k: int, order: int, inject_fault: str | None = None) -> Inte
          by |k| is exact, and a remainder would raise.
       3. comp-inverse: g = |k| x log(1+x)/((1+x)^{|k|} - 1), integral
          because its divisions by |k| are exact, is A's compositional
-         inverse.  Two equations show it, each one product over ZZ:
-         (i) |k| A' = (1+A) (x p)', the derivative of
-         |k| log(1+A) = x p; the EGF derivative is a shift, and both sides
-         of the underived equation have constant term 0;
-         (ii) d g = |k| log(1+x), with d = ((1+x)^{|k|} - 1)/x of degree
-         |k| - 1, so d(y) = p_|k|(y).  Substituting A for y in (ii) and
-         using (i) gives g(A) p = |k| log(1+A) = x p, and p_0 = |k| is
-         nonzero, so g(A) = x.
+         inverse.  One product over ZZ shows it: d g = |k| log(1+x), with
+         d = ((1+x)^{|k|} - 1)/x of degree |k| - 1, so d(y) = p_|k|(y).
+         Step 2's Phi(A) = A says e^{xp} - 1 = A p = (1+A)^{|k|} - 1, whose
+         log is |k| log(1+A) = x p.  Substituting A for y in d g and using
+         that gives g(A) p = |k| log(1+A) = x p, and p_0 = |k| is nonzero,
+         so g(A) = x.  No step after step 2 reads A, so the A that the
+         solve checked is the only A in the certificate.
       4. subst-exp: g composed with e^x - 1 equals gf(1,|k|); the
          composite is an integer (Stirling) combination of g's
          coefficients, and ``m_series`` divides exactly by n + 1.
@@ -256,7 +255,8 @@ def certify(h: int, k: int, order: int, inject_fault: str | None = None) -> Inte
     if k == 0:
         raise SeriesError("k must be nonzero")
     if order < 1:
-        # the comp-inverse step differentiates A, leaving order N - 1
+        # step 1 pins Q only below the order, so at order 0 no step would
+        # read any coefficient
         raise SeriesError(f"certify needs order >= 1, got {order}")
     if inject_fault is not None and inject_fault not in STEP_NAMES:
         raise ValueError(f"unknown step {inject_fault!r}")
@@ -284,17 +284,13 @@ def certify(h: int, k: int, order: int, inject_fault: str | None = None) -> Inte
         exp = partial(EgfSeries.exp_line, order=order, ring=ZZ)
         q = corrupt(reduction_factor(h, k, order), "reduction-factor")
         yield q * (exp(1) - EgfSeries.one(order, ZZ)) == exp(s + h) - exp(s)
-        a = solve_fixed_point(phi, order, ZZ)  # raises unless Phi(A) = A
+        solve_fixed_point(phi, order, ZZ)  # raises unless Phi(A) = A
         yield True
-        # (i), where the EGF derivative f' = f_1, f_2, ... is a shift
-        xp = pk_of_series(ka, a).mul_by_x().coeffs
-        one_plus_a = (EgfSeries.one(order, ZZ) + a).truncate(order - 1)
-        lhs = EgfSeries._of(ZZ, a.coeffs[1:]).scale(ka)
-        # (ii), coefficient m of d g read off d's |k| terms
+        # coefficient m of d g read off d's |k| terms
         g = corrupt(inverse_tree_series(ka, order), "comp-inverse")
         log, d = _inverse_tree_parts(ka, order)
         rows = binomial_rows(order)
-        yield lhs == one_plus_a * EgfSeries._of(ZZ, xp[1 : order + 1]) and log == [
+        yield log == [
             sum(map(mul, map(mul, rows[m], d), g.coeffs[m::-1])) for m in range(order + 1)
         ]
         gf_base = m_series(1, ka, order)

@@ -14,10 +14,10 @@ extending cached series by one coefficient, so Phi is never re-run as a
 whole while solving.  One full-order evaluation Phi(A) = A by ``apply``, a
 separate code path on series, then certifies the solution.
 
-Two checks compare a solution with the exp forms it should satisfy:
-``verify_exp_form`` checks (1+A)^k = e^{x p_k(A)} in the series' own ring,
-so over Z with no division, and ``verify_postnikov_form`` lifts A to Q for
-the 1/2 in 1 + A = e^{(x/2)(2+A)}.
+As A p_k(A) = (1+A)^k - 1, the tree-series check Phi(A) = A is the paper's
+(1+A)^k = e^{x p_k(A)}.  ``verify_exp_form`` states it directly in A's ring,
+over Z with no division, and ``verify_postnikov_form`` lifts A to Q for the
+1/2 in 1 + A = e^{(x/2)(2+A)}.
 """
 
 from __future__ import annotations

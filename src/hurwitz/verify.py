@@ -9,13 +9,16 @@ each full-size entry once.
 
 Checks whose values are integers run over ZZ, where every division is an
 exact ``ZZ.divide`` that raises on a remainder: hurwitz-closure, the tree
-series (one division by k per coefficient) and its inverse,
-general-k-integrality's exp form, the M_n(h,k) routes of theorem-sweep, and
-all four routes of genocchi-tri-route, the Genocchi oracle's series division
-included.  theorem-sweep and hurwitz-closure catch that
-``NonDivisibleError`` and fail.  general-k-integrality also solves the tree
-series by the paper's division-free route, the sum of powers, and compares
-the two.
+series (one division by k per coefficient) and its inverse, the M_n(h,k)
+routes of theorem-sweep, and all three routes of genocchi-tri-route, the
+Genocchi oracle's series division included.  theorem-sweep and
+hurwitz-closure catch that ``NonDivisibleError`` and fail.
+
+Each fact is checked once per run.  A solve certifies its own fixed point
+Phi(A) = A, the paper's equation for the k-tree series and the functional
+equation for the four-parameter one, so no check restates it.
+inverse-consistency reverts each k-tree series once, tying it to the
+algebraic inverse that the other checks read.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .fixpoint import (
     power_sum_phi,
     solve_fixed_point,
     solve_tree_series,
-    verify_exp_form,
     verify_postnikov_form,
 )
 from .rings import POLY, ZZ, NonDivisibleError, binomial_rows
@@ -42,13 +44,13 @@ def check_theorem_sweep(hk_bound: int = 8, order: int = 32) -> bool:
     """Three routes to M_n(h,k) agree over the whole grid: the paper's proof
     route Q * G_|k|, ``m_series`` and ``m_direct_values``, all over ZZ.
 
-    G_K = (K-tree series)^{-1} o (e^x - 1) is solved once per K over ZZ, and
-    Q is the closed-form reduction factor, so the proof route shares no code
-    with ``m_series``.  Integrality needs no separate check: each route's
-    divisions are exact, and a remainder fails the check."""
+    G_K = g_K o (e^x - 1), with g_K the algebraic inverse of the K-tree series
+    over ZZ, and Q is the closed-form reduction factor, so the proof route
+    shares no code with ``m_series``.  Integrality needs no separate check:
+    each route's divisions are exact, and a remainder fails the check."""
     try:
         base = {
-            ka: solve_tree_series(ka, order).comp_inverse().subst_exp_minus_one()
+            ka: bernoulli.inverse_tree_series(ka, order).subst_exp_minus_one()
             for ka in range(1, hk_bound + 1)
         }
         for h in range(-hk_bound, hk_bound + 1):
@@ -66,14 +68,11 @@ def check_theorem_sweep(hk_bound: int = 8, order: int = 32) -> bool:
 
 
 def check_genocchi_tri_route(order: int = 16) -> bool:
-    """gf(1,2) = subst(inverse of A2) = subst(direct algebraic inverse) =
-    the independent 2x/(e^x+1) division, all over ZZ."""
+    """gf(1,2) = subst(algebraic inverse of A2) = the independent 2x/(e^x+1)
+    division, all over ZZ."""
     gf = bernoulli.m_series(1, 2, order)
-    a2 = solve_tree_series(2, order)
-    via_inverse = a2.comp_inverse().subst_exp_minus_one()
     via_algebraic = bernoulli.inverse_tree_series(2, order).subst_exp_minus_one()
-    oracle = bernoulli.genocchi_oracle(order)
-    return gf == via_inverse == via_algebraic == oracle
+    return gf == via_algebraic == bernoulli.genocchi_oracle(order)
 
 
 def check_tree_oracle(max_n: int = 12) -> bool:
@@ -85,7 +84,7 @@ def check_tree_oracle(max_n: int = 12) -> bool:
     )
 
 
-def check_inverse_consistency(max_k: int = 6, order: int = 48) -> bool:
+def check_inverse_consistency(max_k: int = 8, order: int = 48) -> bool:
     """Order-by-order inverse of the k-tree series equals the algebraic
     expansion of k x log(1+x)/((1+x)^k - 1), both over ZZ.
 
@@ -99,8 +98,9 @@ def check_inverse_consistency(max_k: int = 6, order: int = 48) -> bool:
 
 
 def check_factorial_sum_formula(max_n: int = 20) -> bool:
-    """The alternating factorial sum gives the inverse-of-A2 coefficients."""
-    inv = solve_tree_series(2, max_n).comp_inverse()
+    """The alternating factorial sum gives the coefficients of A2's
+    algebraic inverse 2 log(1+x)/(2+x)."""
+    inv = bernoulli.inverse_tree_series(2, max_n)
     return all(
         inv[n] == parametric.alternating_factorial_sum(n)
         for n in range(1, max_n + 1)
@@ -135,15 +135,14 @@ def check_parametric_closed_form(order: int = 16) -> bool:
 
 
 def check_parametric_fixed_point(order: int = 12) -> bool:
-    """The four-parameter fixed point satisfies the functional equation and
-    inverts the logarithmic series.
+    """The four-parameter fixed point inverts the logarithmic series.
 
-    Its coefficients are integer polynomials by construction: the solve runs
+    The solve's own check Phi(F) = F is the functional equation, so it is
+    not restated here; parametric-closed-form pins the inverse's monomials.
+    F's coefficients are integer polynomials by construction: the solve runs
     over POLY, Z[a1,a2,b1,b2], where Phi has integer polynomial coefficients
     and the online steps never divide."""
     f = parametric.solve_parametric_f(order)
-    if not parametric.verify_functional_equation(f):
-        return False
     inverse = parametric.parametric_inverse_series(order)
     return inverse.compose(f) == EgfSeries.basis(1, order, POLY)
 
@@ -193,30 +192,28 @@ def check_hurwitz_closure(instances: int = 200, order: int = 12, seed: int = 202
 def check_postnikov_forms(order: int = 16) -> bool:
     """The k=2 solution satisfies Postnikov's form 1 + A = e^{(x/2)(2+A)}.
 
-    The form is the square root of general-k-integrality's k = 2 equation
-    (1+A)^2 = e^{x(2+A)}, and such a root with constant term 1 is unique, so
-    the two checks state one fact.  This one stays beside it for two
-    reasons: it checks the form as Postnikov's paper states it, and it is
-    the one registry check that runs QQ ``scale`` and ``exp``, after lifting
-    A to QQ for the 1/2."""
+    The form is the square root of the paper's k = 2 equation
+    (1+A)^2 = e^{x(2+A)}, which the solve's own check Phi(A) = A states, and
+    such a root with constant term 1 is unique, so the two state one fact.
+    This check stays beside the solve for two reasons: it checks the form as
+    Postnikov's paper states it, and it is the one registry check that runs
+    QQ ``scale`` and ``exp``, after lifting A to QQ for the 1/2."""
     return verify_postnikov_form(solve_tree_series(2, order))
 
 
 def check_general_k_integrality(max_k: int = 6, order: int = 48) -> bool:
-    """The integer k-tree series solves the paper's equation
-    (1+A)^k = e^{x p_k(A)} for each k <= max_k, checked over ZZ; by
-    ``verify_exp_form``'s argument B = 1+A then also solves
-    B = e^{x(1+B+...+B^{k-1})/k}.
+    """The integer k-tree series, for each k <= max_k, equals the solve of
+    the paper's division-free route.
 
-    It also equals the solve of the paper's division-free route: the map
+    ``solve_tree_series`` solves (1+A)^k = e^{x p_k(A)} in exp form, with one
+    exact division by k per coefficient, and its own check Phi(A) = A is
+    that equation over ZZ.  The independent route is the map
     Phi(A) = sum_{n>=1} p_k(A)^{n-1} x^n/n! built by ``power_sum_phi``, whose
     online steps never divide, so that A is a Hurwitz series because Phi has
-    integer coefficients.  ``solve_tree_series`` reaches the same A in exp
-    form, with one exact division by k per coefficient."""
+    integer coefficients."""
     for k in range(1, max_k + 1):
-        a = solve_tree_series(k, order)
         powers = power_sum_phi(f"tree-power-sum(k={k})", binomial_rows(k)[k][1:], [1])
-        if not (verify_exp_form(a, k) and a == solve_fixed_point(powers, order, ZZ)):
+        if solve_tree_series(k, order) != solve_fixed_point(powers, order, ZZ):
             return False
     return True
 
@@ -237,7 +234,7 @@ def all_checks(quick: bool = False) -> list[tuple[str, Callable[[], bool]]]:
         ("theorem-sweep", check_theorem_sweep, (4, 16)),
         ("genocchi-tri-route", check_genocchi_tri_route, (8,)),
         ("tree-oracle", check_tree_oracle, (5,)),
-        ("inverse-consistency", check_inverse_consistency, (3, 12)),
+        ("inverse-consistency", check_inverse_consistency, (4, 16)),
         ("factorial-sum-formula", check_factorial_sum_formula, (10,)),
         ("parametric-closed-form", check_parametric_closed_form, (5,)),
         ("parametric-fixed-point", check_parametric_fixed_point, (5,)),

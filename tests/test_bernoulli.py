@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -19,7 +20,7 @@ from hurwitz.bernoulli import (
     reduction_factor,
 )
 from hurwitz.cli import main
-from hurwitz.fixpoint import solve_tree_series
+from hurwitz.fixpoint import am_phi, solve_tree_series
 from hurwitz.rings import QQ, ZZ, NonDivisibleError, render_rational
 from hurwitz.series import EgfSeries, SeriesError
 
@@ -380,17 +381,30 @@ def test_fault_render_is_pinned(step):
     assert certify(7, -3, 12, inject_fault=step).render() == "\n".join(expected)
 
 
+def am_phi_bumped_at(index):
+    """``am_phi`` whose online step adds 1 to coefficient ``index``."""
+
+    def wrong_phi(k):
+        phi = am_phi(k)
+
+        def online(ring):
+            step = phi.online(ring)
+            return lambda a: step(a) + 1 if len(a) == index else step(a)
+
+        return replace(phi, online=online)
+
+    return wrong_phi
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, -6])
-def test_comp_inverse_step_refutes_a_wrong_tree_series(monkeypatch, k):
-    # the solve passes; only equation (i), k A' = (1+A)(x p_k(A))', reads A
-    solve = bernoulli.solve_fixed_point
-    for index in range(2, 13):
-        monkeypatch.setattr(
-            bernoulli, "solve_fixed_point", lambda *args: bump(solve(*args), index)
-        )
+def test_tree_series_step_refutes_a_wrong_tree_series(monkeypatch, k):
+    # no later step reads A, so the solve's own check Phi(A) = A must
+    # refute a wrong A
+    for index in range(1, 13):
+        monkeypatch.setattr(bernoulli, "am_phi", am_phi_bumped_at(index))
         cert = certify(7, k, 12)
-        assert [s.name for s in cert.steps] == list(STEP_NAMES[:3])
-        assert cert.failing_step == "comp-inverse"
+        assert [s.name for s in cert.steps] == list(STEP_NAMES[:2])
+        assert cert.failing_step == "tree-series"
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, -6])
@@ -436,16 +450,34 @@ def test_wrong_direct_values_are_refuted_at_final_equality(monkeypatch):
     "module, route, wrong",
     [
         (bernoulli, "reduction_factor", wrong_reduction_factor),
-        (verify, "solve_tree_series", lambda k, n: bump(solve_tree_series(k, n), n)),
+        (bernoulli, "inverse_tree_series", lambda k, n: bump(inverse_tree_series(k, n), n)),
         (bernoulli, "m_direct_values", wrong_direct_values),
         (bernoulli, "m_series", lambda h, k, n: bump(m_series(h, k, n), n)),
     ],
-    ids=["reduction_factor", "solve_tree_series", "m_direct_values", "m_series"],
+    ids=["reduction_factor", "inverse_tree_series", "m_direct_values", "m_series"],
 )
 def test_theorem_sweep_refutes_a_wrong_route(monkeypatch, module, route, wrong):
     assert verify.check_theorem_sweep(2, 8)
     monkeypatch.setattr(module, route, wrong)
     assert not verify.check_theorem_sweep(2, 8)
+
+
+@pytest.mark.parametrize(
+    "module, route, solve",
+    [
+        (verify, "solve_tree_series", solve_tree_series),
+        (bernoulli, "inverse_tree_series", inverse_tree_series),
+    ],
+    ids=["solve_tree_series", "inverse_tree_series"],
+)
+def test_inverse_consistency_refutes_a_wrong_route(monkeypatch, module, route, solve):
+    # the check is the one reversion of each k-tree series, so it alone ties
+    # the algebraic inverse that theorem-sweep reads to the solved series
+    assert verify.check_inverse_consistency(8, 16)
+    monkeypatch.setattr(
+        module, route, lambda k, n: bump(solve(k, n), n) if k == 8 else solve(k, n)
+    )
+    assert not verify.check_inverse_consistency(8, 16)
 
 
 def wrong_bernoulli_factor(order):

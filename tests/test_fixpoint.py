@@ -149,8 +149,8 @@ class TestExpForms:
         assert not verify_postnikov_form(corrupted)
 
     def test_general_k_check_refutes_a_wrong_series(self, monkeypatch):
-        # the wrong k = 4 series is still integral, so only the exp form
-        # can refute it
+        # the wrong k = 4 series is still integral, so only the comparison
+        # with the power-sum solve can refute it
         def wrong(k, order):
             a = solve_tree_series(k, order)
             return a.with_coefficient(12, a[12] + 1) if k == 4 else a
@@ -159,8 +159,8 @@ class TestExpForms:
         assert not verify.check_general_k_integrality(4, 24)
 
     def test_general_k_check_compares_the_power_sum_route(self, monkeypatch):
-        # the exp form alone passes; only the comparison with the
-        # division-free solve can refute a wrong power-sum route
+        # the tree-series solve passes its own check; only the comparison
+        # with the division-free solve can refute a wrong power-sum route
         def wrong(phi, order, ring):
             a = solve_fixed_point(phi, order, ring)
             return a.with_coefficient(order, a[order] + 1)

@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from hurwitz import parametric, verify
 from hurwitz.fixpoint import solve_tree_series
 from hurwitz.parametric import (
     alternating_factorial_sum,
@@ -101,6 +102,18 @@ class TestFixedPoint:
     def test_k2_specialization_is_tree_series(self):
         f = specialize_k2(solve_parametric_f(6))
         assert f == solve_tree_series(2, 6).over(QQ)
+
+    @pytest.mark.parametrize("index", range(1, 6))
+    def test_fixed_point_check_refutes_a_wrong_series(self, monkeypatch, index):
+        # the solve's own check runs on the right F, so the compose with the
+        # inverse must refute the wrong one
+        def wrong(order):
+            f = solve_parametric_f(order)
+            return f.with_coefficient(index, f[index] + MultiPoly.constant(1))
+
+        assert verify.check_parametric_fixed_point(5)
+        monkeypatch.setattr(parametric, "solve_parametric_f", wrong)
+        assert not verify.check_parametric_fixed_point(5)
 
 
 class TestFunctionalEquation:
