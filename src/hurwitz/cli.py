@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="run the integrality proof pipeline")
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    # the pipeline inverts the tree series, which needs its linear term
+    # bernoulli.certify's guard: step 1 pins Q only below the order
     p.add_argument("--order", type=_order_at_least(1), required=True)
     p.add_argument(
         "--inject-fault",

@@ -7,7 +7,8 @@ denominator 1", which is the predicate the whole package certifies.
 
 Every operation runs in every coefficient ring.  Division, and so the
 reciprocal and log, is the ring's ``quotient`` kernel; over ZZ and POLY it
-divides exactly, as ``compose`` and ``comp_inverse`` do.
+divides exactly.  ``compose`` and ``comp_inverse`` are integral by
+construction (see ``_divided_powers``); the one division left is by f_1^n.
 
 All operations are pure and check ring/order compatibility; nothing truncates
 silently.
@@ -15,12 +16,11 @@ silently.
 
 from __future__ import annotations
 
-from itertools import accumulate, repeat
-from math import factorial
+from itertools import repeat
 from operator import add, mul, neg, sub
 from typing import NamedTuple, Optional
 
-from .rings import QQ, product_coefficient
+from .rings import QQ, binomial_rows, product_coefficient
 
 
 class SeriesError(ValueError):
@@ -208,37 +208,27 @@ class EgfSeries:
     def compose(self, inner):
         """self(inner(x)) for inner with zero constant term.
 
-        Coefficient n is sum_{m<=n} (N!/m!) f_m (inner^m)_n, with N the
-        order, as one ``ring.dot``, divided once by N! with ``ring.divide``;
-        since inner has no constant term the x^n coefficient of inner^m
-        vanishes for m > n.  Over ZZ and POLY the division is exact: the
-        composite of series with integral coefficients is a Hurwitz series.
-        """
+        Coefficient n >= 1 is sum_{1<=m<=n} f_m (inner^m/m!)_n, one
+        ``ring.dot`` over ``_divided_powers(inner)``, which has no division:
+        the composite of Hurwitz series is one by construction."""
         self._check(inner)
         ring = self.ring
         if inner.coeffs[0] != 0:
             raise SeriesError("compose requires inner constant term 0")
-        order = self.order
-        top = factorial(order)
-        scalars = [top // factorial(m) for m in range(order + 1)]
-        # inner^0..inner^N, each one series product from the one before
-        powers = list(accumulate(repeat(inner, order), mul, initial=EgfSeries.one(order, ring)))
-        return EgfSeries._of(ring, [
-            ring.divide(ring.dot(scalars, self.coeffs, [p[n] for p in powers[: n + 1]]), top)
-            for n in range(order + 1)
-        ])
+        table, coeffs = _divided_powers(inner), self.coeffs
+        return EgfSeries._of(ring, [coeffs[0], *(
+            ring.dot(repeat(1), coeffs[1:], [table[m][n - m] for m in range(1, n + 1)])
+            for n in range(1, self.order + 1)
+        )])
 
     def comp_inverse(self):
         """g with g(self(x)) = x (hence also self(g(x)) = x), solved order
         by order.
 
-        Expanding g(f) = sum_m g_m f^m / m!, coefficient n of the equation
-        g(f) = x is linear in g_n with slope f_1^n, so g_n is one
-        ``ring.divide`` by it; the powers of f are computed once up front.
-        Each coefficient of f^m is divided by m! with ``ring.divide``, exactly
-        over ZZ and POLY: f^m / m! is a Hurwitz series when f is one with
-        constant term 0.  There, f_1 other than 1 or -1 may leave a remainder.
-        """
+        Coefficient n of g(f) = sum_m g_m f^m/m! = x is linear in g_n, with
+        the f^m/m! read off ``_divided_powers(self)``; its slope f_1^n is the
+        one ``ring.divide``, where over ZZ and POLY a linear term other than 1
+        or -1 may leave a remainder."""
         ring = self.ring
         if self.order < 1:
             raise SeriesError(f"compositional inverse needs order >= 1, got {self.order}")
@@ -246,18 +236,11 @@ class EgfSeries:
             raise SeriesError("compositional inverse requires constant term 0")
         if self.coeffs[1] == 0:
             raise SeriesError("compositional inverse requires nonzero linear term")
-        order = self.order
-        powers = [EgfSeries.one(order, ring)]
-        for _ in range(order):
-            powers.append(powers[-1] * self)
-        g = [ring.zero] * (order + 1)
-        for n in range(1, order + 1):
-            target = ring.one if n == 1 else ring.zero
-            acc = ring.zero
-            for m in range(1, n):
-                acc = acc + g[m] * ring.divide(powers[m][n], factorial(m))
-            lead = ring.divide(powers[n][n], factorial(n))  # = f_1^n
-            g[n] = ring.divide(target - acc, lead)
+        table = _divided_powers(self)
+        g = [ring.zero]
+        for n in range(1, self.order + 1):
+            acc = ring.dot(repeat(1), g[1:], [table[m][n - m] for m in range(1, n)])
+            g.append(ring.divide((ring.one if n == 1 else ring.zero) - acc, table[n][0]))
         return EgfSeries._of(ring, g)
 
     # -- exp / log ---------------------------------------------------------
@@ -313,3 +296,19 @@ class EgfSeries:
         return "\n".join(
             f"{n}\t{self.ring.render(c)}" for n, c in enumerate(self.coeffs)
         )
+
+
+def _divided_powers(f):
+    """t[m][n - m] = (f^m/m!)_n for 0 <= m <= n <= N, f of order N with zero
+    constant term: the partial Bell polynomials (Comtet, *Advanced
+    Combinatorics*, section 3.3).  Columns 0 and 1 are 1 and f; since
+    (f^m/m!)' = f' f^{m-1}/(m-1)!, column m >= 2 is one ``ring.dot`` per entry,
+    (f^m/m!)_n = sum_{j=1}^{n-m+1} C(n-1, j-1) f_j (f^{m-1}/(m-1)!)_{n-j},
+    with integer scalars and no division, so t is integral whenever f is."""
+    ring, order = f.ring, f.order
+    rows, lower = binomial_rows(order), f.coeffs[1:]
+    table = [[ring.one] + [ring.zero] * order, list(lower)]
+    for m in range(2, order + 1):
+        prev = table[-1]
+        table.append([ring.dot(rows[n - 1], lower, prev[n - m::-1]) for n in range(m, order + 1)])
+    return table

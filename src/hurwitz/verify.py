@@ -8,11 +8,13 @@ PASS/FAIL line with the wall time per check, and the acceptance tests run
 each full-size entry once.
 
 Checks whose values are integers run over ZZ, where every division is an
-exact ``ZZ.divide`` that raises on a remainder: hurwitz-closure, the tree
-series (one division by k per coefficient) and its inverse, the M_n(h,k)
-routes of theorem-sweep, and all three routes of genocchi-tri-route, the
-Genocchi oracle's series division included.  theorem-sweep and
-hurwitz-closure catch that ``NonDivisibleError`` and fail.
+exact ``ZZ.divide`` that raises on a remainder: the tree series (one
+division by k per coefficient) and its inverse, the M_n(h,k) routes of
+theorem-sweep, and all three routes of genocchi-tri-route, the Genocchi
+oracle's series division included.  theorem-sweep and hurwitz-closure catch
+that ``NonDivisibleError`` and fail.  ``compose`` and ``comp_inverse`` are
+integral by construction: f^m/m! comes from a recurrence with integer
+scalars, and the one division left is ``comp_inverse``'s by f_1^n.
 
 Each fact is checked once per run.  A solve certifies its own fixed point
 Phi(A) = A, the paper's equation for the k-tree series and the functional
@@ -88,9 +90,10 @@ def check_inverse_consistency(max_k: int = 8, order: int = 48) -> bool:
     """Order-by-order inverse of the k-tree series equals the algebraic
     expansion of k x log(1+x)/((1+x)^k - 1), both over ZZ.
 
-    Integrality is carried by exact ``ZZ.divide`` calls: ``comp_inverse``
-    divides by m! and the algebraic series by k, and either raises
-    ``NonDivisibleError`` on a remainder."""
+    Integrality is carried by construction and by exact ``ZZ.divide``
+    calls: ``comp_inverse`` reads f^m/m! off a division-free recurrence with
+    integer scalars and divides only by f_1^n = 1, the algebraic series
+    divides by k, and a remainder raises ``NonDivisibleError``."""
     return all(
         solve_tree_series(k, order).comp_inverse() == bernoulli.inverse_tree_series(k, order)
         for k in range(1, max_k + 1)
@@ -161,29 +164,23 @@ def check_beta_identity(total_degree: int = 10, diag_n: int = 12) -> bool:
 
 
 def check_hurwitz_closure(instances: int = 200, order: int = 12, seed: int = 20231023) -> bool:
-    """Random integer series stay integral under composition and (when the
-    linear term is 1) compositional inversion.
+    """Random integer series h with linear term 1 compose with their inverse
+    g to x, over ZZ.
 
-    The series are drawn over ZZ, so integrality is the absence of a
-    remainder: ``compose``'s division by N! and ``comp_inverse``'s divisions
-    by m! are exact ``ZZ.divide`` calls, which raise ``NonDivisibleError``
-    on a remainder.  The product needs no run: its coefficients are sums of
-    integer multiples (binomial coefficients) of integer products."""
+    Both kernels are integral by construction (f^m/m! from a recurrence with
+    integer scalars, ``comp_inverse``'s one division by f_1^n = 1), so what
+    can fail is the round trip: it reads g's divided-powers table and h's,
+    and a remainder (``NonDivisibleError``) fails it too.  The product needs
+    no run: its coefficients are integer combinations of integer products."""
     rng = random.Random(seed)
-
-    def random_series(zero_constant: bool, unit_linear: bool = False) -> EgfSeries:
-        coeffs = [rng.randint(-9, 9) for _ in range(order + 1)]
-        if zero_constant:
-            coeffs[0] = 0
-        if unit_linear:
-            coeffs[1] = 1
-        return EgfSeries(ZZ, coeffs)
-
+    x = EgfSeries.basis(1, order, ZZ)
     try:
         for _ in range(instances):
-            f = random_series(zero_constant=False)
-            f.compose(random_series(zero_constant=True))
-            random_series(zero_constant=True, unit_linear=True).comp_inverse()
+            coeffs = [rng.randint(-9, 9) for _ in range(order + 1)]
+            coeffs[0], coeffs[1] = 0, 1
+            h = EgfSeries(ZZ, coeffs)
+            if h.compose(h.comp_inverse()) != x:
+                return False
     except NonDivisibleError:
         return False
     return True

@@ -6,14 +6,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hurwitz import verify
-from hurwitz.fixpoint import verify_exp_form
+from hurwitz.fixpoint import solve_tree_series, verify_exp_form
 from hurwitz.parametric import (
     parametric_inverse_series,
     solve_parametric_f,
     verify_functional_equation,
 )
 from hurwitz.rings import POLY, QQ, ZZ, MultiPoly, NonDivisibleError
-from hurwitz.series import EgfSeries, SeriesError
+from hurwitz.series import EgfSeries, SeriesError, _divided_powers
 
 F = Fraction
 
@@ -289,7 +289,7 @@ def test_hurwitz_closure_inverse(g):
 
 
 def test_closure_check_returns_false_on_a_remainder(monkeypatch):
-    # a compose that divides by (N+1)! in place of N! leaves a remainder in
+    # a compose that divides its coefficients by N+1 leaves a remainder in
     # ZZ.divide, which the check reports as a failure rather than raising
     compose = EgfSeries.compose
 
@@ -298,6 +298,20 @@ def test_closure_check_returns_false_on_a_remainder(monkeypatch):
 
     assert verify.check_hurwitz_closure(5, 6)
     monkeypatch.setattr(EgfSeries, "compose", compose_by_wrong_factorial)
+    assert not verify.check_hurwitz_closure(5, 6)
+
+
+def test_closure_check_returns_false_on_a_wrong_inverse(monkeypatch):
+    # every call is integral by construction, so the check is the round trip
+    # h o h^{-1} = x: one coefficient more in the inverse breaks it
+    comp_inverse = EgfSeries.comp_inverse
+
+    def bumped_comp_inverse(self):
+        g = comp_inverse(self)
+        return g.with_coefficient(g.order, g[g.order] + 1)
+
+    assert verify.check_hurwitz_closure(5, 6)
+    monkeypatch.setattr(EgfSeries, "comp_inverse", bumped_comp_inverse)
     assert not verify.check_hurwitz_closure(5, 6)
 
 
@@ -425,7 +439,7 @@ def test_zz_convolve_matches_fraction_loop(pair):
 def zz_unit_linear_series(order):
     def build(args):
         coeffs, unit = args
-        return EgfSeries(ZZ, [0, unit, *coeffs[2:]])
+        return EgfSeries(ZZ, [0, unit, *coeffs[2:]][: order + 1])
 
     return st.tuples(
         st.lists(st.integers(-9, 9), min_size=order + 1, max_size=order + 1),
@@ -433,23 +447,37 @@ def zz_unit_linear_series(order):
     ).map(build)
 
 
+TREE_48 = {k: solve_tree_series(k, 48) for k in (1, 2, 7)}
+
+
+# the kernels over ZZ against the QQ kernels and the series-power oracles
+# below, with tree series at order 48 among the inner series
 @settings(max_examples=60, deadline=None)
 @given(
-    st.integers(1, 12).flatmap(
+    st.integers(0, 16).flatmap(
         lambda n: st.tuples(
             zz_unit_linear_series(n),
             st.lists(st.integers(-9, 9), min_size=n + 1, max_size=n + 1),
         )
     )
 )
+@example((EgfSeries(ZZ, [0]), [5]))
+@example((TREE_48[1], [(-1) ** n * n for n in range(49)]))
+@example((TREE_48[2], list(TREE_48[2].coeffs[::-1])))
+@example((TREE_48[7].with_coefficient(1, -1), [1] * 49))
 def test_zz_comp_inverse_and_compose_match_qq(pair):
     inner, outer = pair
     outer = EgfSeries(ZZ, outer)
-    inverse = inner.comp_inverse()
     composite = outer.compose(inner)
-    assert inverse.ring is ZZ and composite.ring is ZZ
-    assert inverse.over(QQ) == inner.over(QQ).comp_inverse()
+    assert composite.ring is ZZ and all(type(c) is int for c in composite.coeffs)
+    assert composite.over(QQ) == reference_compose(outer.over(QQ), inner.over(QQ))
     assert composite.over(QQ) == outer.over(QQ).compose(inner.over(QQ))
+    if inner.order == 0:  # no compositional inverse below order 1
+        return
+    inverse = inner.comp_inverse()
+    assert inverse.ring is ZZ and all(type(c) is int for c in inverse.coeffs)
+    assert inverse == reference_comp_inverse(inner)
+    assert inverse.over(QQ) == inner.over(QQ).comp_inverse()
 
 
 # comp_inverse solves for g_n by dividing by f_1^n; with a linear term other
@@ -461,13 +489,17 @@ def test_qq_comp_inverse_with_non_unit_linear_term(coeffs, lead):
     f = qs(F(0), lead, *coeffs[2:])
     g = f.comp_inverse()
     assert g.compose(f) == f.compose(g) == EgfSeries.basis(1, f.order)
+    assert_exactly_equal(list(g.coeffs), list(reference_comp_inverse(f).coeffs))
 
 
-# -- compose against the Fraction(1, m!) loop --------------------------------
+# -- compose and comp_inverse against the series-power loops -----------------
 #
-# reference_compose is the loop that ran EgfSeries.compose before it
-# accumulated f_m (N!/m!) inner^m and divided once by N!; it is kept as the
-# test oracle.  It needs rational coefficients, so a composite over POLY is
+# Test oracles, not code under test.  reference_compose and
+# reference_comp_inverse are the loops that ran EgfSeries.compose and
+# comp_inverse before both read the divided powers f^m/m! off the
+# division-free table ``_divided_powers``: they build each power inner^m as a
+# series product and divide its coefficients by m!.
+# reference_compose needs rational coefficients, so a composite over POLY is
 # checked through its values at rational points.
 
 
@@ -479,6 +511,22 @@ def reference_compose(f, inner):
         power = power * inner
         result = result + power.scale(f.coeffs[m] * Fraction(1, factorial(m)))
     return result
+
+
+def reference_comp_inverse(f):
+    ring, order = f.ring, f.order
+    powers = [EgfSeries.one(order, ring)]
+    for _ in range(order):
+        powers.append(powers[-1] * f)
+    g = [ring.zero] * (order + 1)
+    for n in range(1, order + 1):
+        target = ring.one if n == 1 else ring.zero
+        acc = ring.zero
+        for m in range(1, n):
+            acc = acc + g[m] * ring.divide(powers[m][n], factorial(m))
+        lead = ring.divide(powers[n][n], factorial(n))  # = f_1^n
+        g[n] = ring.divide(target - acc, lead)
+    return EgfSeries(ring, g)
 
 
 def at_point(series, point):
@@ -551,7 +599,33 @@ def test_poly_comp_inverse_commutes_with_evaluation(f, unit, point):
     f = f.with_coefficient(1, unit)
     inverse = f.comp_inverse()
     assert inverse.compose(f) == EgfSeries.basis(1, f.order, POLY)
+    assert inverse == reference_comp_inverse(f)
     assert at_point(inverse, point) == at_point(f, point).comp_inverse()
+    assert at_point(inverse, point) == reference_comp_inverse(at_point(f, point))
+
+
+@pytest.mark.parametrize("lead", [2, -2, 3])
+def test_zz_non_unit_linear_term_raises_in_kernel_and_oracle(lead):
+    f = EgfSeries(ZZ, [0, lead, *range(-3, 4)])
+    with pytest.raises(NonDivisibleError):
+        f.comp_inverse()
+    with pytest.raises(NonDivisibleError):
+        reference_comp_inverse(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 12).flatmap(coefficients))
+@example([F(0)])
+@example([F(0), F(1), F(-2), F(3), F(5, 2)])
+def test_divided_powers_are_series_powers_over_factorials(c):
+    f = qs(F(0), *c[1:])
+    table = _divided_powers(f)
+    power = EgfSeries.one(f.order)
+    for m in range(f.order + 1):
+        assert len(table[m]) == f.order - m + 1
+        for n in range(m, f.order + 1):
+            assert table[m][n - m] == power[n] / factorial(m)
+        power = power * f
 
 
 def test_poly_divide_raises_on_remainder():
